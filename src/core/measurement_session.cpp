@@ -11,7 +11,9 @@ MeasurementSession::MeasurementSession(
       interval_ns_(static_cast<common::TimestampNs>(
           interval_duration.count() > 0 ? interval_duration.count()
                                         : 1)),
-      current_end_ns_(0) {}
+      current_end_ns_(0) {
+  classified_.reserve(kIngestBatch);
+}
 
 void MeasurementSession::attach_telemetry(
     telemetry::MetricsRegistry* registry,
@@ -72,21 +74,42 @@ void MeasurementSession::close_intervals_until(
   }
 }
 
-void MeasurementSession::observe(const packet::PacketRecord& packet) {
+void MeasurementSession::flush_classified() {
+  if (classified_.empty()) return;
+  device_->observe_batch(classified_);
+  classified_.clear();
+}
+
+std::size_t MeasurementSession::observe_batch(
+    std::span<const packet::PacketRecord> packets) {
+  if (packets.empty()) return 0;
   if (!started_) {
     started_ = true;
     // Anchor interval boundaries at multiples of the duration, like a
     // router clock, not at the first packet's arrival.
     current_end_ns_ =
-        (packet.timestamp_ns / interval_ns_ + 1) * interval_ns_;
+        (packets.front().timestamp_ns / interval_ns_ + 1) * interval_ns_;
   }
-  close_intervals_until(packet.timestamp_ns);
-  ++packets_;
-  if (const auto key = definition_.classify(packet)) {
-    device_->observe(*key, packet.size_bytes);
-  } else {
-    ++unclassified_;
+  std::size_t consumed = 0;
+  bool closed = false;
+  while (consumed < packets.size() && !closed) {
+    const packet::PacketRecord& packet = packets[consumed++];
+    if (packet.timestamp_ns >= current_end_ns_) {
+      // The packets before this one belong to the closing interval.
+      flush_classified();
+      close_intervals_until(packet.timestamp_ns);
+      closed = true;
+    }
+    ++packets_;
+    if (const auto key = definition_.classify(packet)) {
+      classified_.push_back(
+          packet::ClassifiedPacket::from(*key, packet.size_bytes));
+    } else {
+      ++unclassified_;
+    }
   }
+  flush_classified();
+  return consumed;
 }
 
 std::vector<Report> MeasurementSession::drain_reports() {

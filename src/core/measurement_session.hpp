@@ -7,9 +7,16 @@
 // interval when a packet's timestamp crosses the boundary (including
 // idle gaps spanning several intervals, so entry-preservation semantics
 // stay correct), and hand finished reports to the consumer.
+//
+// Packets arrive in batches (observe_batch): the session classifies a
+// run of packets into one reused ClassifiedPacket buffer and hands it to
+// the device's observe_batch kernel in one call, splitting the batch
+// only where an interval boundary falls. observe() is the batch of one.
 #pragma once
 
+#include <cstddef>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/checkpoint.hpp"
@@ -22,6 +29,10 @@
 
 namespace nd::core {
 
+/// Records per batch on the ingest path: `ndtm measure` reads this many
+/// pcap records at a time and feeds them to observe_batch.
+inline constexpr std::size_t kIngestBatch = 4096;
+
 class MeasurementSession {
  public:
   /// `definition` may reference an AsResolver; the caller keeps that
@@ -30,10 +41,20 @@ class MeasurementSession {
                      packet::FlowDefinition definition,
                      common::IntervalDuration interval_duration);
 
-  /// Feed one packet. Timestamps must be non-decreasing (out-of-order
-  /// packets within the current interval are fine; a packet from an
+  /// Feed packets in order, returning how many were consumed: all of
+  /// them, or fewer when one closes an interval — the call then returns
+  /// right after that packet, so the caller can drain, export and
+  /// checkpoint at exactly the packet that closed it, and feeds the
+  /// rest with another call. An idle gap still closes every interval
+  /// it spans. Timestamps must be non-decreasing (out-of-order packets
+  /// within the current interval are fine; a packet from an
   /// already-closed interval is counted into the current one).
-  void observe(const packet::PacketRecord& packet);
+  std::size_t observe_batch(std::span<const packet::PacketRecord> packets);
+
+  /// Feed one packet: observe_batch over a batch of one.
+  void observe(const packet::PacketRecord& packet) {
+    (void)observe_batch(std::span<const packet::PacketRecord>(&packet, 1));
+  }
 
   /// Reports of all intervals closed so far (drained).
   [[nodiscard]] std::vector<Report> drain_reports();
@@ -86,6 +107,8 @@ class MeasurementSession {
 
  private:
   void close_intervals_until(common::TimestampNs timestamp_ns);
+  /// Hand the classified run to the device and empty the buffer.
+  void flush_classified();
   /// Telemetry hook, called after each interval's report is queued.
   void on_interval_closed(const Report& report);
 
@@ -98,6 +121,8 @@ class MeasurementSession {
   std::uint64_t unclassified_{0};
   common::IntervalIndex intervals_closed_{0};
   std::vector<Report> pending_;
+  /// The current run of classified packets, reused across calls.
+  std::vector<packet::ClassifiedPacket> classified_;
   /// Telemetry state; null when detached.
   telemetry::TraceRecorder* trace_{nullptr};
   telemetry::MetricsRegistry* tm_registry_{nullptr};

@@ -52,9 +52,33 @@ class FlowDefinition {
   [[nodiscard]] FlowKeyKind kind() const { return kind_; }
 
   /// Extract the flow key, or nullopt when the pattern does not match
-  /// (or AS resolution fails for either endpoint).
+  /// (or AS resolution fails for either endpoint). Inline: it runs once
+  /// per packet on the ingest path.
   [[nodiscard]] std::optional<FlowKey> classify(
-      const PacketRecord& packet) const;
+      const PacketRecord& packet) const {
+    if (!pattern_.matches(packet)) return std::nullopt;
+    switch (kind_) {
+      case FlowKeyKind::kFiveTuple:
+        return FlowKey::five_tuple(packet.src_ip, packet.dst_ip,
+                                   packet.src_port, packet.dst_port,
+                                   packet.protocol);
+      case FlowKeyKind::kDestinationIp:
+        return FlowKey::destination_ip(packet.dst_ip);
+      case FlowKeyKind::kAsPair: {
+        const auto src_as = resolver_->resolve(packet.src_ip);
+        const auto dst_as = resolver_->resolve(packet.dst_ip);
+        if (!src_as || !dst_as) return std::nullopt;
+        return FlowKey::as_pair(*src_as, *dst_as);
+      }
+      case FlowKeyKind::kNetworkPair: {
+        const std::uint32_t mask =
+            prefix_len_ == 0 ? 0 : ~std::uint32_t{0} << (32 - prefix_len_);
+        return FlowKey::network_pair(packet.src_ip & mask,
+                                     packet.dst_ip & mask, prefix_len_);
+      }
+    }
+    return std::nullopt;
+  }
 
  private:
   FlowDefinition(FlowKeyKind kind, PacketPattern pattern,

@@ -15,6 +15,7 @@
 #include <string>
 
 #include "common/state_buffer.hpp"
+#include "hash/hash.hpp"
 #include "packet/packet.hpp"
 
 namespace nd::packet {
@@ -39,14 +40,26 @@ class FlowKey {
                                           std::uint32_t dst_ip,
                                           std::uint16_t src_port,
                                           std::uint16_t dst_port,
-                                          IpProtocol protocol);
-  [[nodiscard]] static FlowKey destination_ip(std::uint32_t dst_ip);
+                                          IpProtocol protocol) {
+    return FlowKey(FlowKeyKind::kFiveTuple, src_ip, dst_ip, src_port,
+                   dst_port, protocol);
+  }
+  [[nodiscard]] static FlowKey destination_ip(std::uint32_t dst_ip) {
+    return FlowKey(FlowKeyKind::kDestinationIp, 0, dst_ip, 0, 0,
+                   IpProtocol::kTcp);
+  }
   [[nodiscard]] static FlowKey as_pair(std::uint32_t src_as,
-                                       std::uint32_t dst_as);
+                                       std::uint32_t dst_as) {
+    return FlowKey(FlowKeyKind::kAsPair, src_as, dst_as, 0, 0,
+                   IpProtocol::kTcp);
+  }
   /// Networks must already be masked to `prefix_len` bits.
   [[nodiscard]] static FlowKey network_pair(std::uint32_t src_network,
                                             std::uint32_t dst_network,
-                                            std::uint8_t prefix_len);
+                                            std::uint8_t prefix_len) {
+    return FlowKey(FlowKeyKind::kNetworkPair, src_network, dst_network,
+                   prefix_len, 0, IpProtocol::kTcp);
+  }
 
   [[nodiscard]] FlowKeyKind kind() const { return kind_; }
 
@@ -79,8 +92,32 @@ class FlowKey {
   }
 
  private:
+  // Inline, with the factories above: classification runs once per
+  // packet on the ingest path.
   FlowKey(FlowKeyKind kind, std::uint32_t a, std::uint32_t b, std::uint16_t c,
-          std::uint16_t d, IpProtocol proto);
+          std::uint16_t d, IpProtocol proto)
+      : kind_(kind),
+        a_(a),
+        b_(b),
+        c_(c),
+        d_(d),
+        proto_(proto),
+        fingerprint_(fingerprint_fields(kind, a, b, c, d, proto)) {}
+
+  static std::uint64_t fingerprint_fields(FlowKeyKind kind, std::uint32_t a,
+                                          std::uint32_t b, std::uint16_t c,
+                                          std::uint16_t d, IpProtocol proto) {
+    // Pack the discriminating fields into two words and mix. The kind
+    // tag participates so a dst-IP key never collides with a 5-tuple key
+    // for the same address.
+    const std::uint64_t w0 = (static_cast<std::uint64_t>(a) << 32) |
+                             static_cast<std::uint64_t>(b);
+    const std::uint64_t w1 = (static_cast<std::uint64_t>(c) << 48) |
+                             (static_cast<std::uint64_t>(d) << 32) |
+                             (static_cast<std::uint64_t>(proto) << 8) |
+                             static_cast<std::uint64_t>(kind);
+    return hash::splitmix64(hash::splitmix64(w0) ^ w1);
+  }
 
   FlowKeyKind kind_{FlowKeyKind::kFiveTuple};
   std::uint32_t a_{0};

@@ -184,32 +184,40 @@ std::vector<std::uint8_t> build_frame(const PacketRecord& record) {
 
 std::optional<PacketRecord> parse_frame(std::span<const std::uint8_t> captured,
                                         common::TimestampNs timestamp_ns) {
-  const auto eth = parse_ethernet(captured);
-  if (!eth || eth->ether_type != kEtherTypeIpv4) return std::nullopt;
-
-  const auto ip_bytes = captured.subspan(kEthernetHeaderSize);
-  const auto ip = parse_ipv4(ip_bytes);
-  if (!ip) return std::nullopt;
+  // One pass over the captured bytes, by offset: the Ethernet type, the
+  // IPv4 fixed header, then the L4 ports. Accepts and rejects exactly
+  // what parse_ethernet/parse_ipv4/parse_tcp/parse_udp would.
+  constexpr std::size_t ip = kEthernetHeaderSize;
+  if (captured.size() < ip + 20 || get_u16(captured, 12) != kEtherTypeIpv4) {
+    return std::nullopt;
+  }
+  const std::uint8_t version_ihl = captured[ip];
+  const std::size_t ip_header_bytes =
+      static_cast<std::size_t>(version_ihl & 0x0F) * 4;
+  if ((version_ihl >> 4) != 4 || ip_header_bytes < 20 ||
+      captured.size() < ip + ip_header_bytes) {
+    return std::nullopt;
+  }
+  const std::uint8_t protocol = captured[ip + 9];
 
   PacketRecord record;
   record.timestamp_ns = timestamp_ns;
-  record.src_ip = ip->src_ip;
-  record.dst_ip = ip->dst_ip;
-  record.protocol = static_cast<IpProtocol>(ip->protocol);
-  record.size_bytes = ip->total_length;
+  record.src_ip = get_u32(captured, ip + 12);
+  record.dst_ip = get_u32(captured, ip + 16);
+  record.protocol = static_cast<IpProtocol>(protocol);
+  record.size_bytes = get_u16(captured, ip + 2);
 
-  const auto l4 = ip_bytes.subspan(ip->header_bytes());
-  if (ip->protocol == static_cast<std::uint8_t>(IpProtocol::kTcp)) {
-    const auto t = parse_tcp(l4);
-    if (!t) return std::nullopt;
-    record.src_port = t->src_port;
-    record.dst_port = t->dst_port;
-  } else if (ip->protocol == static_cast<std::uint8_t>(IpProtocol::kUdp)) {
-    const auto u = parse_udp(l4);
-    if (!u) return std::nullopt;
-    record.src_port = u->src_port;
-    record.dst_port = u->dst_port;
+  const std::size_t l4 = ip + ip_header_bytes;
+  const std::size_t l4_bytes = captured.size() - l4;
+  if (protocol == static_cast<std::uint8_t>(IpProtocol::kTcp)) {
+    if (l4_bytes < 20) return std::nullopt;
+  } else if (protocol == static_cast<std::uint8_t>(IpProtocol::kUdp)) {
+    if (l4_bytes < 8) return std::nullopt;
+  } else {
+    return record;
   }
+  record.src_port = get_u16(captured, l4);
+  record.dst_port = get_u16(captured, l4 + 2);
   return record;
 }
 

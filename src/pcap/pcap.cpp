@@ -1,6 +1,7 @@
 #include "pcap/pcap.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <fstream>
 #include <istream>
 #include <ostream>
@@ -20,27 +21,6 @@ void put_u16le(std::ostream& out, std::uint16_t v) {
   const char bytes[2] = {static_cast<char>(v & 0xFF),
                          static_cast<char>((v >> 8) & 0xFF)};
   out.write(bytes, 2);
-}
-
-bool get_u32(std::istream& in, bool swapped, std::uint32_t& out_value) {
-  std::uint8_t b[4];
-  if (!in.read(reinterpret_cast<char*>(b), 4)) return false;
-  if (swapped) std::swap(b[0], b[3]), std::swap(b[1], b[2]);
-  out_value = static_cast<std::uint32_t>(b[0]) |
-              (static_cast<std::uint32_t>(b[1]) << 8) |
-              (static_cast<std::uint32_t>(b[2]) << 16) |
-              (static_cast<std::uint32_t>(b[3]) << 24);
-  return true;
-}
-
-bool get_u16(std::istream& in, bool swapped, std::uint16_t& out_value) {
-  std::uint8_t b[2];
-  if (!in.read(reinterpret_cast<char*>(b), 2)) return false;
-  if (swapped) std::swap(b[0], b[1]);
-  out_value = static_cast<std::uint16_t>(static_cast<std::uint16_t>(b[0]) |
-                                         (static_cast<std::uint16_t>(b[1])
-                                          << 8));
-  return true;
 }
 
 }  // namespace
@@ -77,11 +57,14 @@ void PcapWriter::write(const packet::PacketRecord& record) {
   write(record.timestamp_ns, packet::build_frame(record));
 }
 
-PcapReader::PcapReader(std::istream& in) : in_(in) {
-  std::uint32_t magic = 0;
-  if (!get_u32(in_, false, magic)) {
+PcapReader::PcapReader(std::istream& in)
+    : in_(in), buffer_(kReadBlockBytes) {
+  if (!fill(4)) {
     throw PcapError("pcap: empty file");
   }
+  // The magic is stored in the writer's byte order: read little-endian,
+  // a big-endian file shows the swapped constant.
+  const std::uint32_t magic = load_u32(buffer_.data());
   if (magic == kMagicNative) {
     swapped_ = false;
   } else if (magic == kMagicSwapped) {
@@ -89,71 +72,96 @@ PcapReader::PcapReader(std::istream& in) : in_(in) {
   } else {
     throw PcapError("pcap: bad magic number");
   }
-  std::uint16_t vmaj = 0;
-  std::uint16_t vmin = 0;
-  std::uint32_t zone = 0;
-  std::uint32_t sigfigs = 0;
-  if (!get_u16(in_, swapped_, vmaj) || !get_u16(in_, swapped_, vmin) ||
-      !get_u32(in_, swapped_, zone) || !get_u32(in_, swapped_, sigfigs) ||
-      !get_u32(in_, swapped_, snaplen_) ||
-      !get_u32(in_, swapped_, link_type_)) {
+  if (!fill(24)) {
     throw PcapError("pcap: truncated global header");
   }
+  const std::uint8_t* header = buffer_.data();
+  const std::uint32_t vmaj =
+      swapped_ ? (std::uint32_t{header[4]} << 8) | header[5]
+               : (std::uint32_t{header[5]} << 8) | header[4];
+  snaplen_ = load_u32(header + 16);
+  link_type_ = load_u32(header + 20);
+  pos_ = 24;
   if (vmaj != 2) {
     throw PcapError("pcap: unsupported version " + std::to_string(vmaj));
   }
   if (snaplen_ == 0 || snaplen_ > kMaxSnapLen) {
     // A zero or absurd snaplen is header corruption; rejecting it here
-    // also bounds every subsequent per-packet allocation.
+    // also bounds the record size the buffer must hold.
     throw PcapError("pcap: implausible snaplen " + std::to_string(snaplen_));
   }
 }
 
-std::optional<PcapPacket> PcapReader::next() {
-  std::uint32_t ts_sec = 0;
-  if (!get_u32(in_, swapped_, ts_sec)) {
+bool PcapReader::refill(std::size_t bytes) {
+  // Slide the unread tail (always under one record) to the front, then
+  // top the block up from the stream.
+  std::memmove(buffer_.data(), buffer_.data() + pos_, end_ - pos_);
+  end_ -= pos_;
+  pos_ = 0;
+  while (end_ < bytes && in_) {
+    in_.read(reinterpret_cast<char*>(buffer_.data() + end_),
+             static_cast<std::streamsize>(buffer_.size() - end_));
+    end_ += static_cast<std::size_t>(in_.gcount());
+  }
+  return end_ >= bytes;
+}
+
+std::optional<FrameView> PcapReader::next_frame() {
+  if (!fill(4)) {
     return std::nullopt;  // clean EOF
   }
-  std::uint32_t ts_usec = 0;
-  std::uint32_t caplen = 0;
-  std::uint32_t origlen = 0;
-  if (!get_u32(in_, swapped_, ts_usec) || !get_u32(in_, swapped_, caplen) ||
-      !get_u32(in_, swapped_, origlen)) {
+  if (!fill(kRecordHeaderBytes)) {
     throw PcapError("pcap: truncated packet header");
   }
-  // Strict bound: a capture can never exceed the file's own snaplen.
-  // (The old `snaplen_ + 4096` slack also overflowed u32 for snaplens
-  // near the maximum, letting absurd capture lengths through.)
+  const std::uint8_t* header = buffer_.data() + pos_;
+  const std::uint32_t ts_sec = load_u32(header);
+  const std::uint32_t ts_usec = load_u32(header + 4);
+  const std::uint32_t caplen = load_u32(header + 8);
+  const std::uint32_t origlen = load_u32(header + 12);
+  // Strict bound: a capture can never exceed the file's own snaplen,
+  // which also keeps every record within one read block.
   if (caplen > snaplen_) {
     throw PcapError("pcap: capture length exceeds snaplen");
   }
-  PcapPacket pkt;
-  pkt.timestamp_ns = static_cast<common::TimestampNs>(ts_sec) *
-                         1'000'000'000ULL +
-                     static_cast<common::TimestampNs>(ts_usec) * 1000ULL;
-  pkt.original_length = origlen;
-  pkt.data.resize(caplen);
-  if (caplen > 0 &&
-      !in_.read(reinterpret_cast<char*>(pkt.data.data()), caplen)) {
+  if (!fill(kRecordHeaderBytes + caplen)) {
     throw PcapError("pcap: truncated packet body");
   }
+  FrameView frame;
+  frame.timestamp_ns =
+      static_cast<common::TimestampNs>(ts_sec) * 1'000'000'000ULL +
+      static_cast<common::TimestampNs>(ts_usec) * 1000ULL;
+  frame.original_length = origlen;
+  frame.data = std::span<const std::uint8_t>(
+      buffer_.data() + pos_ + kRecordHeaderBytes, caplen);
+  pos_ += kRecordHeaderBytes + caplen;
   if (faults_ != nullptr) {
-    // Capture-damage sites, applied after the full read so the stream
-    // stays aligned on the next packet header.
-    if (const auto fault = faults_->next("pcap.truncate")) {
-      pkt.data.resize(
-          robustness::truncated_size(pkt.data.size(), fault->salt));
-    }
-    if (const auto fault = faults_->next("pcap.corrupt")) {
-      robustness::corrupt_bytes(pkt.data, fault->salt);
+    // Capture-damage sites, applied after the full record is consumed
+    // so the walk stays aligned on the next record header.
+    const auto truncate = faults_->next("pcap.truncate");
+    const auto corrupt = faults_->next("pcap.corrupt");
+    if (truncate || corrupt) {
+      scratch_.assign(frame.data.begin(), frame.data.end());
+      if (truncate) {
+        scratch_.resize(
+            robustness::truncated_size(scratch_.size(), truncate->salt));
+      }
+      if (corrupt) robustness::corrupt_bytes(scratch_, corrupt->salt);
+      frame.data = scratch_;
     }
   }
-  return pkt;
+  return frame;
+}
+
+std::optional<PcapPacket> PcapReader::next() {
+  const auto frame = next_frame();
+  if (!frame) return std::nullopt;
+  return PcapPacket{frame->timestamp_ns, frame->original_length,
+                    {frame->data.begin(), frame->data.end()}};
 }
 
 std::optional<packet::PacketRecord> PcapReader::next_record() {
-  while (auto pkt = next()) {
-    if (auto record = packet::parse_frame(pkt->data, pkt->timestamp_ns)) {
+  while (const auto frame = next_frame()) {
+    if (auto record = packet::parse_frame(frame->data, frame->timestamp_ns)) {
       return record;
     }
   }

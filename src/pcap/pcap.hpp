@@ -5,11 +5,17 @@
 // wireshark) can open. Implements the classic pcap file format
 // (magic 0xA1B2C3D4, microsecond timestamps), both byte orders on read,
 // link type EN10MB.
+//
+// The reader is buffered: it pulls the capture into one reusable block
+// (kReadBlockBytes) with a single istream read per block and walks the
+// records in place as FrameViews. next() and next_record() are entry
+// points into that one walk.
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -27,6 +33,12 @@ inline constexpr std::uint32_t kLinkTypeEthernet = 1;
 /// less; the cap bounds every per-packet allocation, so a corrupt
 /// header field can never become a multi-gigabyte resize.
 inline constexpr std::uint32_t kMaxSnapLen = 262144;
+/// Bytes of the per-record header (ts_sec, ts_usec, incl_len, orig_len).
+inline constexpr std::size_t kRecordHeaderBytes = 16;
+/// The reader's block size: one istream read fills this much, so a
+/// capture costs about one read() per MiB. Always holds a whole record.
+inline constexpr std::size_t kReadBlockBytes = std::size_t{1} << 20;
+static_assert(kReadBlockBytes >= kRecordHeaderBytes + kMaxSnapLen);
 
 class PcapError : public std::runtime_error {
  public:
@@ -37,6 +49,13 @@ struct PcapPacket {
   common::TimestampNs timestamp_ns{0};
   std::uint32_t original_length{0};
   std::vector<std::uint8_t> data;  // captured (possibly truncated) bytes
+};
+
+/// One captured frame as a view into PcapReader's buffer.
+struct FrameView {
+  common::TimestampNs timestamp_ns{0};
+  std::uint32_t original_length{0};
+  std::span<const std::uint8_t> data;  // captured (possibly truncated)
 };
 
 /// Streaming writer. Writes the global header on construction.
@@ -62,13 +81,16 @@ class PcapWriter {
   std::uint64_t count_{0};
 };
 
-/// Streaming reader; handles both byte orders. Throws PcapError on a bad
-/// magic or a structurally truncated file.
+/// Buffered streaming reader; handles both byte orders. Throws
+/// PcapError on a bad magic or a structurally truncated file. Reads
+/// ahead of the record it returns, so the stream's position afterwards
+/// is unspecified.
 class PcapReader {
  public:
   explicit PcapReader(std::istream& in);
 
-  /// Next raw packet, or nullopt at clean end-of-file.
+  /// Next raw packet, or nullopt at clean end-of-file (a stub of under
+  /// four bytes after the last record also reads as end-of-file).
   [[nodiscard]] std::optional<PcapPacket> next();
 
   /// Next packet parsed to a PacketRecord, skipping non-IPv4 frames.
@@ -79,15 +101,41 @@ class PcapReader {
   [[nodiscard]] std::uint32_t link_type() const { return link_type_; }
 
   /// Attach a fault injector simulating capture damage on the wire:
-  /// site "pcap.truncate" shortens the returned packet's data (the
+  /// site "pcap.truncate" shortens the returned frame's data (the
   /// stream stays aligned — the full capture is consumed first) and
-  /// "pcap.corrupt" flips a payload byte. Not owned; null detaches.
+  /// "pcap.corrupt" flips a payload byte. Both sites are consulted once
+  /// per record, truncate first; a damaged frame is a scratch copy, the
+  /// read buffer is never written. Not owned; null detaches.
   void attach_fault_injector(robustness::FaultInjector* faults) {
     faults_ = faults;
   }
 
  private:
+  /// The one walk next() and next_record() share: the next frame as a
+  /// view into the buffer (or the fault scratch copy), valid until the
+  /// next call; nullopt at clean end-of-file.
+  [[nodiscard]] std::optional<FrameView> next_frame();
+  /// Make at least `bytes` unread bytes contiguous in the buffer; false
+  /// when the stream ends first.
+  bool fill(std::size_t bytes) {
+    return end_ - pos_ >= bytes || refill(bytes);
+  }
+  bool refill(std::size_t bytes);
+  /// A u32 header field in the file's byte order.
+  [[nodiscard]] std::uint32_t load_u32(const std::uint8_t* at) const {
+    return swapped_ ? (std::uint32_t{at[0]} << 24) |
+                          (std::uint32_t{at[1]} << 16) |
+                          (std::uint32_t{at[2]} << 8) | std::uint32_t{at[3]}
+                    : std::uint32_t{at[0]} | (std::uint32_t{at[1]} << 8) |
+                          (std::uint32_t{at[2]} << 16) |
+                          (std::uint32_t{at[3]} << 24);
+  }
+
   std::istream& in_;
+  std::vector<std::uint8_t> buffer_;
+  std::size_t pos_{0};  // first unread byte
+  std::size_t end_{0};  // one past the last buffered byte
+  std::vector<std::uint8_t> scratch_;  // fault-damaged frame copy
   bool swapped_{false};
   std::uint32_t snaplen_{0};
   std::uint32_t link_type_{0};

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <span>
 #include <vector>
 
 namespace nd::packet {
@@ -184,6 +186,67 @@ TEST(Frame, NonIpv4Rejected) {
 TEST(Frame, TooShortRejected) {
   const std::vector<std::uint8_t> tiny(10, 0);
   EXPECT_FALSE(parse_frame(tiny, 0).has_value());
+}
+
+/// parse_frame composed from the per-header parsers: the accept/reject
+/// rules the single-pass parse_frame must keep.
+std::optional<PacketRecord> parse_frame_by_headers(
+    std::span<const std::uint8_t> captured, common::TimestampNs ts) {
+  const auto eth = parse_ethernet(captured);
+  if (!eth || eth->ether_type != kEtherTypeIpv4) return std::nullopt;
+  const auto ip_bytes = captured.subspan(kEthernetHeaderSize);
+  const auto ip = parse_ipv4(ip_bytes);
+  if (!ip) return std::nullopt;
+  PacketRecord record;
+  record.timestamp_ns = ts;
+  record.src_ip = ip->src_ip;
+  record.dst_ip = ip->dst_ip;
+  record.protocol = static_cast<IpProtocol>(ip->protocol);
+  record.size_bytes = ip->total_length;
+  const auto l4 = ip_bytes.subspan(ip->header_bytes());
+  if (ip->protocol == static_cast<std::uint8_t>(IpProtocol::kTcp)) {
+    const auto t = parse_tcp(l4);
+    if (!t) return std::nullopt;
+    record.src_port = t->src_port;
+    record.dst_port = t->dst_port;
+  } else if (ip->protocol == static_cast<std::uint8_t>(IpProtocol::kUdp)) {
+    const auto u = parse_udp(l4);
+    if (!u) return std::nullopt;
+    record.src_port = u->src_port;
+    record.dst_port = u->dst_port;
+  }
+  return record;
+}
+
+TEST(Frame, SinglePassMatchesPerHeaderParsers) {
+  // Every prefix of TCP, UDP and ICMP frames, then random header-byte
+  // mutations (version/IHL, EtherType, protocol, lengths).
+  std::uint64_t state = 0x9E3779B97F4A7C15ULL;
+  auto next = [&state] {
+    state ^= state << 13;
+    state ^= state >> 7;
+    state ^= state << 17;
+    return state;
+  };
+  for (const IpProtocol protocol :
+       {IpProtocol::kTcp, IpProtocol::kUdp, IpProtocol::kIcmp}) {
+    const auto frame = build_frame(sample_record(protocol, 120));
+    for (std::size_t length = 0; length <= frame.size(); ++length) {
+      const std::span<const std::uint8_t> prefix(frame.data(), length);
+      EXPECT_EQ(parse_frame(prefix, 7), parse_frame_by_headers(prefix, 7))
+          << "prefix " << length;
+    }
+    for (int round = 0; round < 2000; ++round) {
+      auto mutated = frame;
+      const std::size_t flips = 1 + next() % 3;
+      for (std::size_t f = 0; f < flips; ++f) {
+        mutated[next() % 60] = static_cast<std::uint8_t>(next());
+      }
+      mutated.resize(next() % (mutated.size() + 1));
+      EXPECT_EQ(parse_frame(mutated, 7), parse_frame_by_headers(mutated, 7))
+          << "round " << round;
+    }
+  }
 }
 
 }  // namespace

@@ -112,11 +112,27 @@
 //       shipping to one collector merge bit-identically to a single
 //       `--shards M` run.
 //
-//       SIGINT/SIGTERM stop the capture gracefully: the current
-//       position is checkpointed (with --checkpoint), the spool is
-//       given a final drain, metrics and trace files are written, no
-//       bye is sent (the capture is incomplete), and the process exits
-//       0 — a later --resume run continues where it left off.
+//       The capture is read in batches of 4096 records
+//       (core::kIngestBatch): a buffered pcap reader walks 1 MiB
+//       blocks, each frame is parsed in one pass, and the session
+//       classifies the batch and hands it to the device's observe_batch
+//       kernel, splitting it only at interval boundaries — reports,
+//       checkpoints and --pace-ms land at exactly the packet that
+//       closed each interval. A decode error mid-batch still feeds the
+//       whole records read before it (and exports the intervals they
+//       close) before exiting 3.
+//
+//       SIGINT/SIGTERM stop the capture gracefully, checked once per
+//       batch: the current position is checkpointed (with
+//       --checkpoint; exact, since the session is always between
+//       packets there), the spool is given a final drain, metrics and
+//       trace files are written, no bye is sent (the capture is
+//       incomplete), and the process exits 0 — a later --resume run
+//       continues where it left off.
+//
+//       Numeric flags are strict: integers are plain decimals, --scale
+//       style values must parse whole as numbers, and a bare numeric
+//       flag has no value — any of these exits 2 naming the flag.
 //
 //       Exit codes: 0 success (including "reports still spooled, not
 //       yet collected" — durable, not lost), 1 file/IO error, 2 bad
@@ -174,16 +190,21 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
+#include <exception>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <vector>
 
 #include "analysis/dimensioning.hpp"
 #include "analysis/multistage_bounds.hpp"
@@ -222,9 +243,25 @@ using namespace nd;
 
 namespace {
 
+/// A plain unsigned decimal: digits only (no sign, space, base prefix
+/// or exponent) and no overflow. nullopt for anything else.
+std::optional<std::uint64_t> parse_decimal(std::string_view text) {
+  if (text.empty()) return std::nullopt;
+  std::uint64_t value = 0;
+  for (const char c : text) {
+    if (c < '0' || c > '9') return std::nullopt;
+    const auto digit = static_cast<std::uint64_t>(c - '0');
+    if (value > (UINT64_MAX - digit) / 10) return std::nullopt;
+    value = value * 10 + digit;
+  }
+  return value;
+}
+
 /// Minimal flag parser; every subcommand shares it. Accepts
 /// `--key value`, `--key=value`, and bare `--key` (stored with an empty
-/// value — use has() to test presence).
+/// value — use has() to test presence). Numeric getters are strict: a
+/// value that does not parse whole — including a bare numeric flag —
+/// exits 2 naming the flag, instead of running with a misread number.
 class Args {
  public:
   Args(int argc, char** argv, int first) {
@@ -253,20 +290,35 @@ class Args {
   [[nodiscard]] double get_double(const std::string& key,
                                   double fallback) const {
     const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::atof(it->second.c_str());
+    if (it == values_.end()) return fallback;
+    const char* text = it->second.c_str();
+    char* end = nullptr;
+    const double value = std::strtod(text, &end);
+    if (it->second.empty() || *end != '\0' || !std::isfinite(value)) {
+      bad_value(key, "a number");
+    }
+    return value;
   }
   [[nodiscard]] std::uint64_t get_u64(const std::string& key,
                                       std::uint64_t fallback) const {
     const auto it = values_.find(key);
-    return it == values_.end()
-               ? fallback
-               : std::strtoull(it->second.c_str(), nullptr, 10);
+    if (it == values_.end()) return fallback;
+    const auto value = parse_decimal(it->second);
+    if (!value) bad_value(key, "a non-negative decimal integer");
+    return *value;
   }
   [[nodiscard]] bool has(const std::string& key) const {
     return values_.count(key) > 0;
   }
 
  private:
+  [[noreturn]] void bad_value(const std::string& key,
+                              const char* expected) const {
+    std::fprintf(stderr, "bad value for --%s: '%s' (expected %s)\n",
+                 key.c_str(), values_.at(key).c_str(), expected);
+    std::exit(2);
+  }
+
   std::map<std::string, std::string> values_;
 };
 
@@ -276,7 +328,7 @@ class Args {
 inline constexpr std::uint32_t kCollectorTracePid = 0xC011EC7;
 
 /// Graceful SIGINT/SIGTERM: the handler only flips a flag (measure
-/// polls it between pcap records) and pokes the collector's self-pipe
+/// polls it between ingest batches) and pokes the collector's self-pipe
 /// when one is registered — both async-signal-safe.
 volatile std::sig_atomic_t g_stop_requested = 0;
 volatile int g_collector_stop_fd = -1;
@@ -443,8 +495,16 @@ packet::FlowDefinition flow_def_by_name(const std::string& name) {
   if (name == "5tuple") return packet::FlowDefinition::five_tuple();
   if (name == "dstip") return packet::FlowDefinition::destination_ip();
   if (name.rfind("netpair:", 0) == 0) {
+    const auto prefix_len = parse_decimal(std::string_view(name).substr(8));
+    if (!prefix_len || *prefix_len > 32) {
+      std::fprintf(stderr,
+                   "bad value for --flow-def: '%s' (netpair:<len> takes a "
+                   "prefix length of 0-32)\n",
+                   name.c_str());
+      std::exit(2);
+    }
     return packet::FlowDefinition::network_pair(
-        static_cast<std::uint8_t>(std::atoi(name.c_str() + 8)));
+        static_cast<std::uint8_t>(*prefix_len));
   }
   std::fprintf(stderr,
                "unknown flow definition: %s (5tuple, dstip, "
@@ -770,14 +830,17 @@ int cmd_measure(const Args& args) {
   std::uint64_t net_reports_abandoned = 0;
   if (!connect.empty()) {
     const auto colon = connect.rfind(':');
-    if (colon == std::string::npos || colon + 1 == connect.size()) {
+    const auto port =
+        colon == std::string::npos
+            ? std::nullopt
+            : parse_decimal(std::string_view(connect).substr(colon + 1));
+    if (!port || *port > UINT16_MAX) {
       std::fprintf(stderr, "measure: --connect expects HOST:PORT\n");
       return 2;
     }
     net::TcpTransportConfig transport_config;
     transport_config.host = connect.substr(0, colon);
-    transport_config.port = static_cast<std::uint16_t>(
-        std::strtoul(connect.c_str() + colon + 1, nullptr, 10));
+    transport_config.port = static_cast<std::uint16_t>(*port);
     transport_config.device_id = device_id;
     transport_config.faults = faults.get();
     transport_config.metrics = metrics;
@@ -942,18 +1005,50 @@ int cmd_measure(const Args& args) {
   try {
     pcap::PcapReader reader(stream);
     reader.attach_fault_injector(faults.get());
+    // Records travel in batches of core::kIngestBatch. A decode error
+    // mid-batch ends the read, but the whole records before it are
+    // still fed — and the intervals they close exported — before the
+    // error surfaces.
+    std::vector<packet::PacketRecord> batch;
+    batch.reserve(core::kIngestBatch);
+    std::exception_ptr decode_error;
+    bool eof = false;
+    auto read_batch = [&](std::size_t limit) {
+      batch.clear();
+      try {
+        while (batch.size() < limit) {
+          const auto record = reader.next_record();
+          if (!record) {
+            eof = true;
+            break;
+          }
+          batch.push_back(*record);
+        }
+      } catch (const pcap::PcapError&) {
+        decode_error = std::current_exception();
+      }
+    };
     // --resume: fast-forward past the records the checkpoint already
     // accounted for (checkpoint.packets counts every observed record).
-    for (std::uint64_t skipped = 0; skipped < skip_records; ++skipped) {
-      if (!reader.next_record()) break;
+    while (skip_records > 0 && !eof && !decode_error) {
+      read_batch(std::min<std::uint64_t>(skip_records, core::kIngestBatch));
+      skip_records -= batch.size();
     }
-    while (!(stopped = g_stop_requested != 0)) {
-      const auto record = reader.next_record();
-      if (!record) break;
-      session.observe(*record);
-      fed_any = true;
-      process(session.drain_reports());
+    // SIGINT/SIGTERM is polled once per batch; the session is always
+    // between packets there, so the stop checkpoint stays exact.
+    while (!eof && !decode_error && !(stopped = g_stop_requested != 0)) {
+      read_batch(core::kIngestBatch);
+      std::span<const packet::PacketRecord> pending(batch);
+      while (!pending.empty()) {
+        // observe_batch returns after any packet that closes an
+        // interval, so reports drain (and checkpoints land) exactly
+        // where a packet-at-a-time loop would put them.
+        pending = pending.subspan(session.observe_batch(pending));
+        fed_any = true;
+        process(session.drain_reports());
+      }
     }
+    if (decode_error) std::rethrow_exception(decode_error);
     if (stopped) {
       // Graceful SIGINT/SIGTERM: do not close the in-progress interval
       // (that would fabricate an interval boundary mid-stream) —

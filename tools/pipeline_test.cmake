@@ -77,6 +77,98 @@ if(NOT rv EQUAL 2)
   message(FATAL_ERROR "malformed fault plan should exit 2, got ${rv}")
 endif()
 
+# Strict numeric flags: a value that does not parse whole — or a bare
+# numeric flag — exits 2 naming the flag, instead of running with a
+# misread number (`--threshold 1e6` used to run with threshold 1,
+# `--shards abc` unsharded, `netpair:abc` with prefix length 0).
+function(expect_bad_flag flag)
+  execute_process(
+    COMMAND ${NDTM} ${ARGN}
+    RESULT_VARIABLE rv OUTPUT_QUIET ERROR_VARIABLE err)
+  if(NOT rv EQUAL 2)
+    message(FATAL_ERROR "'${ARGN}' should exit 2, got ${rv}")
+  endif()
+  if(NOT err MATCHES "${flag}")
+    message(FATAL_ERROR "'${ARGN}': error does not name ${flag}: ${err}")
+  endif()
+endfunction()
+expect_bad_flag(--threshold
+                measure --in ${WORKDIR}/smoke.pcap --threshold 1e6)
+expect_bad_flag(--shards measure --in ${WORKDIR}/smoke.pcap --shards abc)
+expect_bad_flag(--flow-def
+                measure --in ${WORKDIR}/smoke.pcap --flow-def netpair:abc)
+expect_bad_flag(--threshold measure --in ${WORKDIR}/smoke.pcap --threshold)
+expect_bad_flag(--entries measure --in ${WORKDIR}/smoke.pcap --entries -5)
+expect_bad_flag(--scale
+                synthesize --scale 0.1x --out ${WORKDIR}/never.pcap)
+execute_process(
+  COMMAND ${NDTM} measure --in ${WORKDIR}/smoke.pcap --flow-def netpair:16
+          --threshold 100000
+  RESULT_VARIABLE rv OUTPUT_QUIET)
+if(NOT rv EQUAL 0)
+  message(FATAL_ERROR "--flow-def netpair:16 should run, got ${rv}")
+endif()
+
+# Decode error mid-batch: the capture's last record is cut short. The
+# whole capture is under one ingest batch (4096 records), so the packets
+# that close intervals 0 and 1 arrive in the same batch as the error.
+# Measure must still export every interval those whole records closed —
+# the uncut export minus its final interval — and then exit 3.
+execute_process(
+  COMMAND ${NDTM} synthesize --preset cos --scale 0.02 --intervals 3
+          --out ${WORKDIR}/batch.pcap
+  RESULT_VARIABLE rv OUTPUT_QUIET)
+if(NOT rv EQUAL 0)
+  message(FATAL_ERROR "ndtm synthesize (batch.pcap) failed: ${rv}")
+endif()
+set(batch_measure measure --algorithm sample-and-hold --flow-def dstip
+                  --threshold 100000)
+execute_process(
+  COMMAND ${NDTM} ${batch_measure} --in ${WORKDIR}/batch.pcap
+          --export ${WORKDIR}/batch_full.bin
+  RESULT_VARIABLE rv OUTPUT_VARIABLE full_out)
+if(NOT rv EQUAL 0)
+  message(FATAL_ERROR "measure over batch.pcap failed: ${rv}")
+endif()
+string(REGEX MATCH "done: ([0-9]+) packets" _ "${full_out}")
+if(NOT CMAKE_MATCH_1 OR CMAKE_MATCH_1 GREATER_EQUAL 4096)
+  message(FATAL_ERROR "batch.pcap must fit one 4096-record batch: "
+                      "${CMAKE_MATCH_1} packets")
+endif()
+execute_process(
+  COMMAND bash -c "head -c $(( $(stat -c %s '${WORKDIR}/batch.pcap') - 7 ))     '${WORKDIR}/batch.pcap' > '${WORKDIR}/batch_cut.pcap'"
+  RESULT_VARIABLE rv)
+if(NOT rv EQUAL 0)
+  message(FATAL_ERROR "could not cut batch.pcap: ${rv}")
+endif()
+execute_process(
+  COMMAND ${NDTM} ${batch_measure} --in ${WORKDIR}/batch_cut.pcap
+          --export ${WORKDIR}/batch_cut.bin
+  RESULT_VARIABLE rv OUTPUT_VARIABLE cut_out ERROR_VARIABLE cut_err)
+if(NOT rv EQUAL 3)
+  message(FATAL_ERROR "a cut last record should exit 3, got ${rv}")
+endif()
+if(NOT cut_err MATCHES "truncated packet body")
+  message(FATAL_ERROR "cut capture: unexpected error: ${cut_err}")
+endif()
+string(REGEX MATCHALL "interval [0-9]+:" full_intervals "${full_out}")
+string(REGEX MATCHALL "interval [0-9]+:" cut_intervals "${cut_out}")
+list(LENGTH full_intervals full_count)
+list(LENGTH cut_intervals cut_count)
+math(EXPR expected_cut_count "${full_count} - 1")
+if(full_count LESS 3 OR NOT cut_count EQUAL expected_cut_count)
+  message(FATAL_ERROR "cut capture exported ${cut_count} intervals; the "
+                      "uncut one ${full_count} (expected one fewer)")
+endif()
+file(READ ${WORKDIR}/batch_full.bin full_hex HEX)
+file(READ ${WORKDIR}/batch_cut.bin cut_hex HEX)
+string(LENGTH "${cut_hex}" cut_hex_length)
+string(FIND "${full_hex}" "${cut_hex}" cut_at)
+if(cut_hex_length EQUAL 0 OR NOT cut_at EQUAL 0)
+  message(FATAL_ERROR
+          "cut capture's export is not the uncut export's leading intervals")
+endif()
+
 # Chaos run that heals: a drop plan on the channel sites is harmless to
 # the CLI data path, but the injector's eagerly-registered telemetry
 # series must appear in the metrics snapshots, and a checkpoint file
