@@ -17,12 +17,41 @@ std::uint64_t shard_seed(std::uint64_t base_seed, std::uint32_t shard) {
                           (0xA24BAED4963EE407ULL * (shard + 1ULL)));
 }
 
+namespace {
+
+/// The first failure among shard tasks joined in shard order (call
+/// capture() from a catch block); later failures are dropped.
+class FirstShardError {
+ public:
+  void capture(std::size_t shard) {
+    if (error_) return;
+    error_ = std::current_exception();
+    shard_ = static_cast<std::uint32_t>(shard);
+  }
+  /// Resurface the captured failure as ShardError (a ShardError from a
+  /// nested device passes through unchanged); no-op when none.
+  void rethrow() const {
+    if (!error_) return;
+    try {
+      std::rethrow_exception(error_);
+    } catch (const ShardError&) {
+      throw;
+    } catch (const std::exception& e) {
+      throw ShardError(shard_, e.what());
+    }
+  }
+
+ private:
+  std::exception_ptr error_;
+  std::uint32_t shard_{0};
+};
+
+}  // namespace
+
 ShardedDevice::ShardedDevice(const ShardedDeviceConfig& config,
                              const Factory& factory)
     : route_salt_(hash::splitmix64(config.seed ^ 0x5AD0FF5E7ULL)),
       pool_(config.pool),
-      affinity_(config.shard_affinity && config.pool != nullptr &&
-                config.pool->size() > 0),
       watchdog_timeout_(config.watchdog_timeout),
       faults_(config.faults),
       trace_(config.trace),
@@ -34,21 +63,7 @@ ShardedDevice::ShardedDevice(const ShardedDeviceConfig& config,
   interval_bytes_.assign(shards, 0);
   stuck_.resize(shards);
   for (std::uint32_t s = 0; s < shards; ++s) {
-    const std::uint64_t seed = shard_seed(config.seed, s);
-    if (affinity_ && s > 0) {
-      // Build the replica ON the worker that will run it: with pinned
-      // workers, first-touch allocation places the shard's flow memory
-      // and stage counters on that core's NUMA node. Serialized
-      // (.get() per shard) so factories need not be thread-safe and
-      // construction order stays deterministic.
-      pool_->submit_on(worker_of(s),
-                       [this, &factory, s, seed] {
-                         shards_[s] = factory(s, seed);
-                       })
-          .get();
-    } else {
-      shards_[s] = factory(s, seed);
-    }
+    shards_[s] = factory(s, shard_seed(config.seed, s));
   }
   baseline_thresholds_.reserve(shards);
   shard_capacity_.reserve(shards);
@@ -119,6 +134,31 @@ std::uint32_t ShardedDevice::shard_of(std::uint64_t fingerprint) const {
       hash::splitmix64(fingerprint ^ route_salt_), shards_.size()));
 }
 
+template <typename Task>
+void ShardedDevice::run_shards(const Task& task) {
+  const std::size_t n = shards_.size();
+  std::vector<std::future<void>> pending;
+  if (pool_ != nullptr && pool_->size() > 0) {
+    pending.reserve(n - 1);
+    for (std::size_t s = 1; s < n; ++s) {
+      pending.push_back(pool_->submit([&task, s] { task(s); }));
+    }
+  }
+  FirstShardError error;
+  for (std::size_t s = 0; s < n; ++s) {
+    try {
+      if (s == 0 || pending.empty()) {
+        task(s);
+      } else {
+        pending[s - 1].get();
+      }
+    } catch (...) {
+      error.capture(s);
+    }
+  }
+  error.rethrow();
+}
+
 void ShardedDevice::observe(const packet::FlowKey& key,
                             std::uint32_t bytes) {
   drain_stuck();
@@ -160,50 +200,8 @@ void ShardedDevice::observe_batch(
     interval_bytes_[s] += packet.bytes;
     shard_batches_[s].push_back(packet);
   }
-  if (pool_ == nullptr || pool_->size() == 0) {
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      shards_[s]->observe_batch(shard_batches_[s]);
-    }
-    return;
-  }
-  // Fan shards 1..N-1 out to the pool and run shard 0 on this thread,
-  // so the caller contributes a core instead of blocking idle. Every
-  // future is joined even after a failure — abandoning one would leave
-  // its task racing against whatever the unwound caller does next — and
-  // the first failure (lowest shard index) resurfaces as ShardError.
-  std::vector<std::future<void>> pending;
-  pending.reserve(shards_.size() - 1);
-  for (std::size_t s = 1; s < shards_.size(); ++s) {
-    pending.push_back(dispatch(s, [this, s] {
-      shards_[s]->observe_batch(shard_batches_[s]);
-    }));
-  }
-  std::exception_ptr error;
-  std::uint32_t error_shard = 0;
-  try {
-    shards_.front()->observe_batch(shard_batches_.front());
-  } catch (...) {
-    error = std::current_exception();
-  }
-  for (std::size_t s = 1; s < shards_.size(); ++s) {
-    try {
-      pending[s - 1].get();
-    } catch (...) {
-      if (!error) {
-        error = std::current_exception();
-        error_shard = static_cast<std::uint32_t>(s);
-      }
-    }
-  }
-  if (error) {
-    try {
-      std::rethrow_exception(error);
-    } catch (const ShardError&) {
-      throw;
-    } catch (const std::exception& e) {
-      throw ShardError(error_shard, e.what());
-    }
-  }
+  run_shards(
+      [this](std::size_t s) { shards_[s]->observe_batch(shard_batches_[s]); });
 }
 
 Report ShardedDevice::end_interval() {
@@ -238,15 +236,6 @@ Report ShardedDevice::end_interval() {
     }
   }
 
-  std::exception_ptr error;
-  std::uint32_t error_shard = 0;
-  const auto capture_first = [&error, &error_shard](std::size_t s) {
-    if (!error) {
-      error = std::current_exception();
-      error_shard = static_cast<std::uint32_t>(s);
-    }
-  };
-  const bool parallel = pool_ != nullptr && pool_->size() > 0 && n > 1;
   const auto make_task = [this, &slots, &stalls](std::size_t s) {
     return [this, s, slot = slots[s], stall = stalls[s]] {
       if (stall) robustness::apply_compute_fault(*stall, "shard.stall");
@@ -254,7 +243,8 @@ Report ShardedDevice::end_interval() {
     };
   };
 
-  if (parallel && watchdog_timeout_.count() > 0) {
+  if (watchdog_timeout_.count() > 0 && pool_ != nullptr &&
+      pool_->size() > 0 && n > 1) {
     // Watchdog mode: all shards go to the pool (so any of them, not
     // just 1..N-1, can be timed out) and share one deadline. A shard
     // that misses it is merged as degraded; its future moves to stuck_
@@ -262,10 +252,11 @@ Report ShardedDevice::end_interval() {
     std::vector<std::future<void>> pending;
     pending.reserve(n);
     for (std::size_t s = 0; s < n; ++s) {
-      pending.push_back(dispatch(s, make_task(s)));
+      pending.push_back(pool_->submit(make_task(s)));
     }
     const auto deadline =
         std::chrono::steady_clock::now() + watchdog_timeout_;
+    FirstShardError error;
     for (std::size_t s = 0; s < n; ++s) {
       if (pending[s].wait_until(deadline) == std::future_status::timeout) {
         degraded[s] = 1;
@@ -277,46 +268,14 @@ Report ShardedDevice::end_interval() {
       try {
         pending[s].get();
       } catch (...) {
-        capture_first(s);
+        error.capture(s);
       }
     }
-  } else if (parallel) {
-    std::vector<std::future<void>> pending;
-    pending.reserve(n - 1);
-    for (std::size_t s = 1; s < n; ++s) {
-      pending.push_back(dispatch(s, make_task(s)));
-    }
-    try {
-      make_task(0)();
-    } catch (...) {
-      capture_first(0);
-    }
-    for (std::size_t s = 1; s < n; ++s) {
-      try {
-        pending[s - 1].get();
-      } catch (...) {
-        capture_first(s);
-      }
-    }
+    error.rethrow();
   } else {
-    for (std::size_t s = 0; s < n; ++s) {
-      try {
-        make_task(s)();
-      } catch (...) {
-        // Keep closing the remaining shards so their interval counters
-        // stay aligned; only the first failure resurfaces.
-        capture_first(s);
-      }
-    }
-  }
-  if (error) {
-    try {
-      std::rethrow_exception(error);
-    } catch (const ShardError&) {
-      throw;
-    } catch (const std::exception& e) {
-      throw ShardError(error_shard, e.what());
-    }
+    // Every shard closes even after one fails, so the interval counters
+    // stay aligned; only the first failure resurfaces.
+    run_shards([&make_task](std::size_t s) { make_task(s)(); });
   }
 
   // Per-shard adaptation: each shard's private adaptor sees only that

@@ -69,15 +69,6 @@ struct ShardedDeviceConfig {
   /// Worker pool for shard fan-out; nullptr runs shards on the calling
   /// thread. Not owned; must outlive the device.
   common::ThreadPool* pool{nullptr};
-  /// Route shard s to the same pool worker every time (submit_on)
-  /// instead of the shared queue, and *construct* each shard's replica
-  /// on that worker so its flow memory and stage counters are
-  /// first-touch allocated on the NUMA node of the core that will run
-  /// it (pair with ThreadPoolConfig::pin). Off by default: the shared
-  /// queue reproduces the historical scheduling. Merged output is
-  /// bit-identical either way — affinity moves wall clock and memory
-  /// locality only, which the equivalence tests pin down.
-  bool shard_affinity{false};
   /// When set, every shard runs a private ThresholdAdaptor on its own
   /// entries_used/capacity at interval boundaries and carries a
   /// heterogeneous threshold into the next interval. Unset reproduces
@@ -196,17 +187,15 @@ class ShardedDevice final : public MeasurementDevice {
   }
   void drain_stuck_slow();
 
-  /// The pool worker that owns shard `s` under shard_affinity (shard 0
-  /// runs on the caller outside watchdog mode, but keeps a stable owner
-  /// for the watchdog path). Only called when affinity_ is true.
-  [[nodiscard]] std::size_t worker_of(std::size_t s) const {
-    return s % pool_->size();
-  }
-  /// Fan a shard task out respecting the affinity mode.
-  std::future<void> dispatch(std::size_t s, std::function<void()> task) {
-    return affinity_ ? pool_->submit_on(worker_of(s), std::move(task))
-                     : pool_->submit(std::move(task));
-  }
+  /// Run `task(s)` for every shard and join them all: shards 1..N-1 on
+  /// the pool and shard 0 on the calling thread (so the caller
+  /// contributes a core instead of blocking idle), or every shard on
+  /// the calling thread without a pool. Every task runs and is joined
+  /// even after one fails — an abandoned future would leave its task
+  /// racing against whatever the unwound caller does next — and the
+  /// first failure (lowest shard index) resurfaces as ShardError.
+  template <typename Task>
+  void run_shards(const Task& task);
 
   std::vector<std::unique_ptr<MeasurementDevice>> shards_;
   /// Always-on per-interval packet/byte tallies, indexed by shard.
@@ -230,9 +219,6 @@ class ShardedDevice final : public MeasurementDevice {
   /// shard routing is independent of the devices' own stage hashes.
   std::uint64_t route_salt_;
   common::ThreadPool* pool_;
-  /// Shard->worker affinity on (config.shard_affinity with a usable
-  /// pool).
-  bool affinity_{false};
   /// Per-shard sub-batches, reused across observe_batch calls.
   std::vector<std::vector<packet::ClassifiedPacket>> shard_batches_;
   /// One private adaptor per shard when adaptation is on; empty

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <future>
 
 #include "common/format.hpp"
 #include "eval/table.hpp"
@@ -11,14 +10,7 @@
 namespace nd::eval {
 
 Driver::Driver(packet::FlowDefinition definition, DriverOptions options)
-    : definition_(std::move(definition)), options_(std::move(options)) {
-  if (options_.metrics != nullptr) {
-    tm_intervals_ = &options_.metrics->counter("nd_driver_intervals_total");
-    tm_packets_ = &options_.metrics->counter("nd_driver_packets_total");
-    tm_interval_ns_ =
-        &options_.metrics->histogram("nd_driver_interval_ns");
-  }
-}
+    : definition_(std::move(definition)), options_(std::move(options)) {}
 
 void Driver::add_device(std::string label, core::MeasurementDevice& device) {
   DeviceSlot slot;
@@ -86,7 +78,6 @@ void Driver::process_slot(DeviceSlot& slot, bool evaluated) {
 
 void Driver::observe_interval(
     std::span<const packet::PacketRecord> packets) {
-  const telemetry::ScopedTimer interval_timer(tm_interval_ns_);
   // Classify once, into the reusable batch buffer; all devices see the
   // identical classified stream through the batched fast path.
   batch_.clear();
@@ -101,60 +92,17 @@ void Driver::observe_interval(
   }
 
   const bool evaluated = interval_index_ >= options_.warmup_intervals;
-  common::ThreadPool* pool = options_.pool;
-  if (pool == nullptr || pool->size() == 0 || devices_.size() <= 1) {
-    for (DeviceSlot& slot : devices_) {
-      process_slot(slot, evaluated);
-    }
-  } else {
-    // Devices are independent (own state, own metric accumulators, and
-    // only read truth_/batch_): fan them out and keep one on this
-    // thread. Per-slot work is identical to the sequential path, so
-    // results are too.
-    std::vector<std::future<void>> pending;
-    pending.reserve(devices_.size() - 1);
-    for (std::size_t d = 1; d < devices_.size(); ++d) {
-      pending.push_back(pool->submit(
-          [this, d, evaluated] { process_slot(devices_[d], evaluated); }));
-    }
-    process_slot(devices_.front(), evaluated);
-    for (std::future<void>& future : pending) {
-      future.get();
-    }
-  }
-  if (tm_intervals_ != nullptr) {
-    tm_intervals_->increment();
-    tm_packets_->add(batch_.size());
-    // Interval-aligned snapshot: every device has closed its interval,
-    // so the registry state is a consistent end-of-interval view.
-    if (options_.snapshot_sink) {
-      options_.snapshot_sink(options_.metrics->snapshot(interval_index_));
-    }
+  for (DeviceSlot& slot : devices_) {
+    process_slot(slot, evaluated);
   }
   ++interval_index_;
 }
 
 void Driver::run(trace::TraceSynthesizer& synthesizer) {
-  common::ThreadPool* pool = options_.pool;
-  if (pool == nullptr || pool->size() == 0) {
-    while (true) {
-      const auto packets = synthesizer.next_interval();
-      if (packets.empty()) break;
-      observe_interval(packets);
-    }
-    return;
-  }
-  // Double-buffered synthesis: generate interval k+1 on a pool worker
-  // while the devices consume interval k. The synthesizer is only ever
-  // touched by one task at a time (the future is joined before the next
-  // submit), so the packet stream is identical to the sequential path.
-  std::vector<packet::PacketRecord> next = synthesizer.next_interval();
-  while (!next.empty()) {
-    const std::vector<packet::PacketRecord> current = std::move(next);
-    std::future<void> synthesis = pool->submit(
-        [&synthesizer, &next] { next = synthesizer.next_interval(); });
-    observe_interval(current);
-    synthesis.get();
+  for (;;) {
+    const auto packets = synthesizer.next_interval();
+    if (packets.empty()) break;
+    observe_interval(packets);
   }
 }
 

@@ -2,30 +2,22 @@
 // measurement devices interval by interval, classifying packets once and
 // computing ground truth once per interval.
 //
-// The interval pipeline is production-shaped: each interval is classified
-// exactly once into a reusable batch of ClassifiedPackets, devices
-// consume it through the batched observe_batch fast path, and — when a
-// ThreadPool is attached via DriverOptions::pool — independent devices
-// fan out across workers while interval k+1 is synthesized on a
-// background worker (double buffering). Results are bit-identical with
-// and without a pool: every device owns its state, metrics accumulate
-// per device slot, and the shared ground-truth map is read-only during
-// the fan-out.
+// Each interval is classified exactly once into a reusable batch of
+// ClassifiedPackets, and every device consumes it in registration order
+// through the batched observe_batch fast path. Parallelism, where an
+// experiment wants it, lives inside the device (ShardedDevice's pool).
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
-#include "common/thread_pool.hpp"
 #include "core/device.hpp"
 #include "eval/metrics.hpp"
 #include "eval/time_series.hpp"
 #include "packet/classified_packet.hpp"
 #include "packet/flow_definition.hpp"
-#include "telemetry/metrics.hpp"
 #include "trace/synthesizer.hpp"
 
 namespace nd::eval {
@@ -42,21 +34,6 @@ struct DriverOptions {
   std::vector<GroupSpec> groups{};
   /// Record a per-interval TimePoint for each device (post-warmup).
   bool record_time_series{false};
-  /// Optional worker pool: fans independent devices out per interval and
-  /// overlaps synthesis of interval k+1 with measurement of interval k.
-  /// Purely a throughput knob — results are identical with or without
-  /// it. Not owned; must outlive the driver.
-  common::ThreadPool* pool{nullptr};
-  /// Export driver telemetry (interval latency histogram, packet and
-  /// interval counters) into this registry. Not owned; must outlive the
-  /// driver. Telemetry never feeds back into measurement, so results
-  /// are identical with or without it.
-  telemetry::MetricsRegistry* metrics{nullptr};
-  /// When set together with `metrics`, the driver takes one registry
-  /// snapshot after every interval (interval-aligned, after all devices
-  /// closed) and hands it here — wire a JsonLinesExporter::write or any
-  /// other consumer in.
-  std::function<void(const telemetry::Snapshot&)> snapshot_sink{};
 };
 
 struct DeviceResult {
@@ -125,12 +102,8 @@ class Driver {
   DriverOptions options_;
   std::vector<DeviceSlot> devices_;
   std::uint32_t interval_index_{0};
-  /// Driver-level instruments; null when DriverOptions::metrics unset.
-  telemetry::Counter* tm_intervals_{nullptr};
-  telemetry::Counter* tm_packets_{nullptr};
-  telemetry::Histogram* tm_interval_ns_{nullptr};
   /// Reusable classified-batch buffer and ground truth for the interval
-  /// being processed (truth_ is read-only while devices fan out).
+  /// being processed.
   std::vector<packet::ClassifiedPacket> batch_;
   TruthMap truth_;
 };

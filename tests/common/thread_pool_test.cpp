@@ -83,127 +83,26 @@ TEST(ThreadPool, DestructionDrainsCleanly) {
   EXPECT_EQ(done.load(), 32);
 }
 
-TEST(ThreadPoolPinning, UnpinnedByDefault) {
-  ThreadPool pool(2);
-  EXPECT_FALSE(pool.pinned());
-  EXPECT_EQ(pool.worker_core(0), -1);
-  EXPECT_EQ(pool.worker_core(1), -1);
-}
-
-TEST(ThreadPoolPinning, PinnedPoolRunsTasksAndExposesCoreMap) {
-  // Pinning is best-effort (a constrained affinity mask just leaves the
-  // worker unpinned), so the portable assertions are: the core map is
-  // fixed and in range, and tasks still run to completion.
-  ThreadPoolConfig config;
-  config.threads = 2;
-  config.pin = true;
-  ThreadPool pool(config);
-  EXPECT_TRUE(pool.pinned());
-  const std::size_t hw = ThreadPool::default_thread_count();
-  for (std::size_t i = 0; i < pool.size(); ++i) {
-    EXPECT_GE(pool.worker_core(i), 0);
-    EXPECT_LT(static_cast<std::size_t>(pool.worker_core(i)), hw);
+TEST(ThreadPool, TelemetryCountsAndTimesEveryTask) {
+  // Worker and inline pools export the same three series, unlabelled
+  // unless the caller passes labels.
+  for (const std::size_t threads : {std::size_t{2}, std::size_t{0}}) {
+    telemetry::MetricsRegistry registry;
+    {
+      ThreadPool pool(threads);
+      pool.attach_telemetry(&registry);
+      pool.submit([] {}).get();
+      pool.submit([] {}).get();
+    }  // joining the workers also lands each task's latency record
+    const telemetry::Snapshot snapshot = registry.snapshot();
+    const auto* tasks = snapshot.find("nd_pool_tasks_total");
+    ASSERT_NE(tasks, nullptr) << threads << " threads";
+    EXPECT_EQ(tasks->counter_value, 2U);
+    const auto* latency = snapshot.find("nd_pool_task_ns");
+    ASSERT_NE(latency, nullptr);
+    EXPECT_EQ(latency->histogram.count, 2U);
+    EXPECT_NE(snapshot.find("nd_pool_queue_depth"), nullptr);
   }
-  std::atomic<int> done{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 64; ++i) {
-    futures.push_back(pool.submit([&done] { ++done; }));
-  }
-  for (auto& future : futures) future.get();
-  EXPECT_EQ(done.load(), 64);
-}
-
-TEST(ThreadPoolPinning, ExplicitTopologyIsAppliedModuloSize) {
-  ThreadPoolConfig config;
-  config.threads = 3;
-  config.pin = true;
-  config.topology = {0, 0};  // worker i -> topology[i % 2]
-  ThreadPool pool(config);
-  EXPECT_EQ(pool.worker_core(0), 0);
-  EXPECT_EQ(pool.worker_core(1), 0);
-  EXPECT_EQ(pool.worker_core(2), 0);
-}
-
-TEST(ThreadPoolPinning, SubmitOnRunsTasksInSubmissionOrderPerWorker) {
-  // Private-queue FIFO is the property ShardedDevice's affinity mode
-  // leans on: tasks routed to one worker never reorder.
-  ThreadPool pool(2);
-  std::vector<int> order;
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 32; ++i) {
-    futures.push_back(
-        pool.submit_on(0, [&order, i] { order.push_back(i); }));
-  }
-  for (auto& future : futures) future.get();
-  ASSERT_EQ(order.size(), 32U);
-  for (int i = 0; i < 32; ++i) {
-    EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
-  }
-}
-
-TEST(ThreadPoolPinning, SubmitOnWrapsWorkerIndexAndDegradesInline) {
-  ThreadPool pool(2);
-  std::atomic<int> done{0};
-  pool.submit_on(7, [&done] { ++done; }).get();  // 7 % 2 == worker 1
-  EXPECT_EQ(done.load(), 1);
-  ThreadPool inline_pool(0);
-  bool ran = false;
-  inline_pool.submit_on(3, [&ran] { ran = true; }).get();
-  EXPECT_TRUE(ran);
-}
-
-TEST(ThreadPoolPinning, MixedSharedAndPrivateWorkAllCompletes) {
-  ThreadPool pool(2);
-  std::atomic<int> done{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 48; ++i) {
-    futures.push_back(i % 3 == 0
-                          ? pool.submit([&done] { ++done; })
-                          : pool.submit_on(static_cast<std::size_t>(i),
-                                           [&done] { ++done; }));
-  }
-  for (auto& future : futures) future.get();
-  EXPECT_EQ(done.load(), 48);
-}
-
-TEST(ThreadPoolPinning, PinnedTelemetrySplitsSeriesPerCore) {
-  // With pinning on, per-task series carry a core="<cpu>" label so
-  // ndtm --metrics can show per-core imbalance; the unlabelled series
-  // still exists for aggregate dashboards.
-  ThreadPoolConfig config;
-  config.threads = 2;
-  config.pin = true;
-  config.topology = {0, 0};  // deterministic label on any machine
-  ThreadPool pool(config);
-  telemetry::MetricsRegistry registry;
-  pool.attach_telemetry(&registry);
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 16; ++i) {
-    futures.push_back(pool.submit([] {}));
-  }
-  futures.push_back(pool.submit_on(0, [] {}));
-  futures.push_back(pool.submit_on(1, [] {}));
-  for (auto& future : futures) future.get();
-  const telemetry::Snapshot snapshot = registry.snapshot();
-  const telemetry::Labels core0{{"core", "0"}};
-  const auto* tasks = snapshot.find("nd_pool_tasks_total", core0);
-  ASSERT_NE(tasks, nullptr);
-  EXPECT_EQ(tasks->counter_value, 18U);  // both workers pinned to core 0
-  EXPECT_NE(snapshot.find("nd_pool_task_ns", core0), nullptr);
-  EXPECT_NE(snapshot.find("nd_pool_worker_queue_depth", core0), nullptr);
-}
-
-TEST(ThreadPoolPinning, UnpinnedTelemetryHasNoCoreLabel) {
-  ThreadPool pool(2);
-  telemetry::MetricsRegistry registry;
-  pool.attach_telemetry(&registry);
-  pool.submit([] {}).get();
-  const telemetry::Snapshot snapshot = registry.snapshot();
-  const auto* tasks = snapshot.find("nd_pool_tasks_total");
-  ASSERT_NE(tasks, nullptr);
-  EXPECT_EQ(tasks->counter_value, 1U);
-  EXPECT_EQ(snapshot.find("nd_pool_tasks_total", {{"core", "0"}}),
-            nullptr);
 }
 
 }  // namespace

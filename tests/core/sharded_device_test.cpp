@@ -115,7 +115,8 @@ TEST(ShardedDevice, RepeatedRunsAreDeterministic) {
 
 TEST(ShardedDevice, PoolDoesNotChangeOutput) {
   // The determinism contract: the worker pool changes wall clock only.
-  // Compare no-pool, 1-worker, and multi-worker runs bit for bit.
+  // Compare no-pool, 0-worker (inline), 1-worker, and multi-worker runs
+  // bit for bit.
   auto run_with_pool = [](common::ThreadPool* pool) {
     ShardedDeviceConfig config;
     config.shards = 5;
@@ -125,13 +126,17 @@ TEST(ShardedDevice, PoolDoesNotChangeOutput) {
     return run_batched(device);
   };
   const auto serial = run_with_pool(nullptr);
+  common::ThreadPool zero(0);
+  const auto inline_pool = run_with_pool(&zero);
   common::ThreadPool one(1);
   const auto single = run_with_pool(&one);
   common::ThreadPool four(4);
   const auto parallel = run_with_pool(&four);
+  ASSERT_EQ(serial.size(), inline_pool.size());
   ASSERT_EQ(serial.size(), single.size());
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
+    expect_reports_equal(serial[i], inline_pool[i]);
     expect_reports_equal(serial[i], single[i]);
     expect_reports_equal(serial[i], parallel[i]);
   }
@@ -151,6 +156,27 @@ TEST(ShardedDevice, ObserveAndBatchAgree) {
     }
     batched.observe_batch(interval);
     expect_reports_equal(scalar.end_interval(), batched.end_interval());
+  }
+}
+
+TEST(ShardedDevice, PooledBatchMatchesInlineObserve) {
+  // The two ends of the contract in one run: the pooled batch fan-out
+  // against the inline per-packet path.
+  ShardedDeviceConfig config;
+  config.shards = 4;
+  config.seed = 9;
+  common::ThreadPool pool(2);
+  ShardedDeviceConfig pooled_config = config;
+  pooled_config.pool = &pool;
+  ShardedDevice batched(pooled_config, filter_factory());
+  ShardedDevice scalar(config, filter_factory());
+  for (const auto& interval :
+       classify_trace(small_trace(), packet::FlowDefinition::five_tuple())) {
+    batched.observe_batch(interval);
+    for (const auto& packet : interval) {
+      scalar.observe(packet.key, packet.bytes);
+    }
+    expect_reports_equal(batched.end_interval(), scalar.end_interval());
   }
 }
 
@@ -234,8 +260,12 @@ TEST(ShardedDevice, WorksWithSampleAndHoldInner) {
     inner.seed = seed;
     return std::make_unique<SampleAndHold>(inner);
   };
+  // Deterministic and pool-invariant with this inner device too.
+  common::ThreadPool pool(2);
+  ShardedDeviceConfig pooled_config = config;
+  pooled_config.pool = &pool;
   ShardedDevice a(config, factory);
-  ShardedDevice b(config, factory);
+  ShardedDevice b(pooled_config, factory);
   const auto first = run_batched(a);
   const auto second = run_batched(b);
   ASSERT_EQ(first.size(), second.size());

@@ -153,5 +153,54 @@ TEST(Driver, AsPairDefinitionWorksEndToEnd) {
   EXPECT_DOUBLE_EQ(results[0].false_negative_fraction.value(), 0.0);
 }
 
+TEST(Driver, ObserveIntervalMatchesRunPath) {
+  // Hand-feeding intervals through observe_interval must agree with
+  // run() bit for bit, metric means and time series included.
+  const auto run_device = [](bool by_hand) {
+    core::SampleAndHoldConfig config;
+    config.flow_memory_entries = 256;
+    config.threshold = 30'000;
+    config.seed = 7;
+    core::SampleAndHold device(config);
+    DriverOptions options;
+    options.metric_threshold = 30'000;
+    options.record_time_series = true;
+    Driver driver(packet::FlowDefinition::five_tuple(), options);
+    driver.add_device("sah", device);
+    trace::TraceSynthesizer synthesizer(tiny_trace());
+    if (by_hand) {
+      for (;;) {
+        const auto packets = synthesizer.next_interval();
+        if (packets.empty()) break;
+        driver.observe_interval(packets);
+      }
+    } else {
+      driver.run(synthesizer);
+    }
+    return driver.results().front();
+  };
+  const DeviceResult manual = run_device(true);
+  const DeviceResult automatic = run_device(false);
+  EXPECT_GT(manual.packets, 0u);
+  EXPECT_EQ(manual.packets, automatic.packets);
+  EXPECT_EQ(manual.memory_accesses, automatic.memory_accesses);
+  EXPECT_EQ(manual.max_entries_used, automatic.max_entries_used);
+  EXPECT_EQ(manual.final_threshold, automatic.final_threshold);
+  EXPECT_EQ(manual.false_negative_fraction.value(),
+            automatic.false_negative_fraction.value());
+  EXPECT_EQ(manual.false_positive_percentage.value(),
+            automatic.false_positive_percentage.value());
+  EXPECT_EQ(manual.avg_error_over_threshold.value(),
+            automatic.avg_error_over_threshold.value());
+  EXPECT_EQ(manual.entries_used.value(), automatic.entries_used.value());
+  ASSERT_EQ(manual.time_series.size(), automatic.time_series.size());
+  for (std::size_t t = 0; t < manual.time_series.size(); ++t) {
+    EXPECT_EQ(manual.time_series[t].entries_used,
+              automatic.time_series[t].entries_used);
+    EXPECT_EQ(manual.time_series[t].threshold,
+              automatic.time_series[t].threshold);
+  }
+}
+
 }  // namespace
 }  // namespace nd::eval

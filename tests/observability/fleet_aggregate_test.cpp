@@ -184,7 +184,9 @@ TEST(FleetAggregator, PreservesOtherLabelsAndOwnsTheDeviceLabel) {
             nullptr);
   for (const Snapshot::Sample& sample : snapshot.samples) {
     for (const auto& [key, value] : sample.labels) {
-      if (key == "device") EXPECT_NE(value, "stale");
+      if (key == "device") {
+        EXPECT_NE(value, "stale");
+      }
     }
   }
 }

@@ -94,7 +94,9 @@ TEST(TraceRecorder, FullBufferDropsAndCountsInsteadOfWrapping) {
   const auto events = recorder.events();
   ASSERT_EQ(events.size(), 4u);
   // The first four survive untouched — truncation, never overwrite.
-  for (int i = 0; i < 4; ++i) EXPECT_EQ(events[i].args.interval, i);
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(events[static_cast<std::size_t>(i)].args.interval, i);
+  }
   EXPECT_EQ(recorder.dropped(), 3u);
 }
 

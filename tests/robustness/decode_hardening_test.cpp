@@ -25,6 +25,9 @@ namespace {
 
 using reporting::CodecError;
 
+/// XOR masks every single-byte corruption sweep applies.
+constexpr std::uint8_t kFlipPatterns[] = {0x01, 0x80, 0xFF};
+
 core::Report sample_report(std::size_t flows, std::size_t shards) {
   core::Report report;
   report.interval = 4;
@@ -79,7 +82,7 @@ void expect_all_prefixes_rejected(
 /// return normally — anything else (crash, sanitizer report) fails.
 void expect_all_flips_contained(const std::vector<std::uint8_t>& payload) {
   for (std::size_t i = 0; i < payload.size(); ++i) {
-    for (const std::uint8_t pattern : {0x01, 0x80, 0xFF}) {
+    for (const std::uint8_t pattern : kFlipPatterns) {
       auto corrupt = payload;
       corrupt[i] ^= pattern;
       try {
@@ -179,7 +182,7 @@ TEST(FrameHardening, EverySingleByteFlipIsRejected) {
       sample_report(3, 2), packet::FlowKeyKind::kFiveTuple,
       "{\"interval\":4,\"metrics\":[]}");
   for (std::size_t i = 0; i < frame.size(); ++i) {
-    for (const std::uint8_t pattern : {0x01, 0x80, 0xFF}) {
+    for (const std::uint8_t pattern : kFlipPatterns) {
       auto corrupt = frame;
       corrupt[i] ^= pattern;
       EXPECT_THROW((void)reporting::decode_framed(corrupt), CodecError)

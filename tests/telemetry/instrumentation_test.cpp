@@ -17,7 +17,6 @@
 #include "core/multistage_filter.hpp"
 #include "core/sample_and_hold.hpp"
 #include "core/sharded_device.hpp"
-#include "eval/driver.hpp"
 #include "eval/metrics.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/metrics.hpp"
@@ -317,40 +316,6 @@ TEST(SessionInstruments, OneSnapshotLinePerClosedInterval) {
   EXPECT_EQ(registry.snapshot().find("nd_session_packets_total")
                 ->counter_value,
             5u);
-}
-
-TEST(DriverInstruments, SnapshotSinkFiresOncePerInterval) {
-  baseline::ExactOracle oracle;
-  MetricsRegistry registry;
-  std::vector<Snapshot> snapshots;
-
-  eval::DriverOptions options;
-  options.metric_threshold = 10'000;
-  options.metrics = &registry;
-  options.snapshot_sink = [&snapshots](const Snapshot& snapshot) {
-    snapshots.push_back(snapshot);
-  };
-  eval::Driver driver(packet::FlowDefinition::five_tuple(), options);
-  driver.add_device("oracle", oracle);
-  trace::TraceSynthesizer synth(small_trace());
-  driver.run(synth);
-
-  ASSERT_EQ(snapshots.size(), 4u);
-  for (std::size_t i = 0; i < snapshots.size(); ++i) {
-    EXPECT_EQ(snapshots[i]
-                  .find("nd_driver_intervals_total")
-                  ->counter_value,
-              i + 1);
-  }
-  EXPECT_EQ(snapshots.back().find("nd_driver_packets_total")->counter_value,
-            driver.results()[0].packets);
-  // The interval timer closes after the sink fires, so the Nth snapshot
-  // carries N-1 latency records; the registry ends with all 4.
-  EXPECT_EQ(snapshots.back().find("nd_driver_interval_ns")->histogram.count,
-            3u);
-  EXPECT_EQ(registry.snapshot().find("nd_driver_interval_ns")
-                ->histogram.count,
-            4u);
 }
 
 }  // namespace

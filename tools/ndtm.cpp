@@ -7,7 +7,7 @@
 //                --threshold 100000 --interval 5 [--export reports.bin]
 //                [--shards N] [--adaptive 1] [--shard-usage 1]
 //                [--metrics[=path]] [--fault-plan spec] [--fault-seed N]
-//                [--watchdog-ms N] [--checkpoint path] [--pin 1]
+//                [--watchdog-ms N] [--checkpoint path]
 //                [--hugepages[=explicit]] [--http-port N] [--trace path]
 //       Stream a pcap through a measurement device in fixed intervals
 //       and print (and optionally export) the heavy hitters per
@@ -34,11 +34,6 @@
 //       interval close, merging overruns as degraded instead of
 //       hanging; --checkpoint writes a crash-safe session checkpoint
 //       after every closed interval (resumable via core/checkpoint).
-//       --pin 1 pins each pool worker to a core and routes every shard
-//       to a fixed worker (first-touch/NUMA-friendly); output is
-//       bit-identical either way, and with --metrics the pool's
-//       per-task series gain a core="<cpu>" label so per-core
-//       imbalance shows up in the snapshots.
 //       --hugepages backs the flow-memory and stage-counter arrays
 //       with 2 MB pages (madvise(MADV_HUGEPAGE); =explicit tries the
 //       reserved MAP_HUGETLB pool first) and prints what was obtained;
@@ -130,9 +125,11 @@
 //       incomplete), and the process exits 0 — a later --resume run
 //       continues where it left off.
 //
-//       Numeric flags are strict: integers are plain decimals, --scale
-//       style values must parse whole as numbers, and a bare numeric
-//       flag has no value — any of these exits 2 naming the flag.
+//       Flags are strict: a flag the subcommand does not take (say
+//       --shard for --shards) exits 2 naming it; integers are plain
+//       decimals, --scale style values must parse whole as numbers, and
+//       a bare numeric flag has no value — any of these exits 2 naming
+//       the flag.
 //
 //       Exit codes: 0 success (including "reports still spooled, not
 //       yet collected" — durable, not lost), 1 file/IO error, 2 bad
@@ -259,9 +256,10 @@ std::optional<std::uint64_t> parse_decimal(std::string_view text) {
 
 /// Minimal flag parser; every subcommand shares it. Accepts
 /// `--key value`, `--key=value`, and bare `--key` (stored with an empty
-/// value — use has() to test presence). Numeric getters are strict: a
-/// value that does not parse whole — including a bare numeric flag —
-/// exits 2 naming the flag, instead of running with a misread number.
+/// value — use has() to test presence). Strict: a flag outside the
+/// subcommand's list (require_known) and a numeric value that does not
+/// parse whole — including a bare numeric flag — exit 2 naming the
+/// flag, instead of running with a dropped flag or a misread number.
 class Args {
  public:
   Args(int argc, char** argv, int first) {
@@ -309,6 +307,17 @@ class Args {
   }
   [[nodiscard]] bool has(const std::string& key) const {
     return values_.count(key) > 0;
+  }
+  void require_known(const std::string& command,
+                     const std::vector<std::string_view>& known) const {
+    for (const auto& entry : values_) {
+      if (std::find(known.begin(), known.end(), entry.first) ==
+          known.end()) {
+        std::fprintf(stderr, "%s: unknown flag --%s\n", command.c_str(),
+                     entry.first.c_str());
+        std::exit(2);
+      }
+    }
   }
 
  private:
@@ -720,22 +729,17 @@ int cmd_measure(const Args& args) {
                                   : common::HugePageMode::kTransparent);
   }
 
-  const bool pin = args.get_u64("pin", 0) != 0;
   std::unique_ptr<common::ThreadPool> pool;  // outlives the session
   std::unique_ptr<core::MeasurementDevice> device;
   if (shards > 1) {
-    common::ThreadPoolConfig pool_config;
-    pool_config.threads = std::min<std::size_t>(
-        shards - 1, common::ThreadPool::default_thread_count());
-    pool_config.pin = pin;
-    pool = std::make_unique<common::ThreadPool>(pool_config);
+    pool = std::make_unique<common::ThreadPool>(std::min<std::size_t>(
+        shards - 1, common::ThreadPool::default_thread_count()));
     pool->attach_telemetry(metrics);
     pool->attach_fault_injector(faults.get());
     core::ShardedDeviceConfig sharded;
     sharded.shards = shards;
     sharded.seed = seed;
     sharded.pool = pool.get();
-    sharded.shard_affinity = pin;
     sharded.metrics = metrics;
     sharded.trace = tracer.get();
     sharded.trace_batch_sample =
@@ -1463,13 +1467,47 @@ int main(int argc, char** argv) {
                  "see the header of tools/ndtm.cpp for details\n");
     return 2;
   }
+  // Every subcommand with the flags it reads.
+  struct Command {
+    std::string_view name;
+    int (*run)(const Args&);
+    std::vector<std::string_view> flags;
+  };
+  const Command commands[] = {
+      {"synthesize",
+       cmd_synthesize,
+       {"arrivals", "intervals", "out", "preset", "scale", "seed",
+        "snaplen"}},
+      {"measure",
+       cmd_measure,
+       {"adaptive", "algorithm", "checkpoint", "connect", "device-id",
+        "entries", "export", "fault-plan", "fault-seed", "fleet-size",
+        "flow-def", "http-port", "http-port-file", "hugepages", "in",
+        "interval", "metrics", "net-attempts", "net-backoff-us", "net-budget",
+        "net-jitter", "pace-ms", "resume", "seed", "shard-usage", "shards",
+        "spool-dir", "spool-fsync", "spool-fsync-batch", "spool-max-bytes",
+        "threshold", "trace", "trace-sample", "watchdog-ms"}},
+      {"collect",
+       cmd_collect,
+       {"devices", "export", "fault-plan", "fault-seed", "http-port",
+        "http-port-file", "journal", "journal-fsync",
+        "journal-fsync-batch", "listen", "metrics", "port-file",
+        "timeout-ms", "trace"}},
+      {"bounds",
+       cmd_bounds,
+       {"buckets", "capacity", "depth", "flows", "oversampling",
+        "threshold"}},
+      {"dimension",
+       cmd_dimension,
+       {"entries", "flows", "oversampling", "traffic"}},
+  };
   const Args args(argc, argv, 2);
   const std::string command = argv[1];
-  if (command == "synthesize") return cmd_synthesize(args);
-  if (command == "measure") return cmd_measure(args);
-  if (command == "collect") return cmd_collect(args);
-  if (command == "bounds") return cmd_bounds(args);
-  if (command == "dimension") return cmd_dimension(args);
+  for (const Command& entry : commands) {
+    if (entry.name != command) continue;
+    args.require_known(command, entry.flags);
+    return entry.run(args);
+  }
   std::fprintf(stderr, "unknown command: %s\n", command.c_str());
   return 2;
 }

@@ -101,6 +101,10 @@ expect_bad_flag(--threshold measure --in ${WORKDIR}/smoke.pcap --threshold)
 expect_bad_flag(--entries measure --in ${WORKDIR}/smoke.pcap --entries -5)
 expect_bad_flag(--scale
                 synthesize --scale 0.1x --out ${WORKDIR}/never.pcap)
+# Unknown flags exit 2 naming the flag instead of being dropped: a typo
+# for --shards used to run unsharded, and --pin is gone.
+expect_bad_flag(--shard measure --in ${WORKDIR}/smoke.pcap --shard 3)
+expect_bad_flag(--pin measure --in ${WORKDIR}/smoke.pcap --pin 1)
 execute_process(
   COMMAND ${NDTM} measure --in ${WORKDIR}/smoke.pcap --flow-def netpair:16
           --threshold 100000

@@ -1,6 +1,6 @@
 # Configure, build and run the concurrency tests (ThreadPool,
-# ShardedDevice, batched driver) under ThreadSanitizer in a nested build
-# tree, then run the flow-memory/pinning suites under Address- and
+# ShardedDevice fan-out) under ThreadSanitizer in a nested build tree,
+# then run the flow-memory suites under Address- and
 # UndefinedBehaviorSanitizer as well — the tag-partitioned probe is
 # word-at-a-time pointer arithmetic, exactly what asan/ubsan are for.
 # Driven by the `tsan_check` custom target so the instrumented builds
@@ -13,14 +13,14 @@ if(NOT DEFINED SOURCE_DIR OR NOT DEFINED BUILD_DIR)
   message(FATAL_ERROR "tsan_check.cmake needs -DSOURCE_DIR and -DBUILD_DIR")
 endif()
 
-# The concurrency suites plus the tag-layout / affinity suites added
-# with the cache-conscious flow memory, the simd/hugepage suites added
+# The concurrency suites plus the tag-layout suites added with the
+# cache-conscious flow memory, the simd/hugepage suites added
 # with the vectorized kernels, the observability plane (HTTP exporter
 # poll loop, lock-free trace ring, registry seqlock), and the
 # durability layer (spool WAL, crash-recovery journal, on-disk fuzz
 # tables, and the kill-level soak over the instrumented ndtm binary).
 set(ND_SANITIZE_TEST_REGEX
-    "ThreadPool|Sharded|BatchEquivalence|DriverParallel|MetricsRegistry|Instruments|FaultInjector|ResilientChannel|ShardWatchdog|ShardFailures|Chaos|Checkpoint|TagProbe|TagLayout|FlowMemory|ShardAffinity|Simd|Hugepage|Slab|CpuFeatures|Crc32|FrameStream|TcpTransport|Collector|LoopbackFleet|HttpExporter|TraceRecorder|ChromeTrace|FleetAggregator|RegistryGeneration|SpoolWal|Journal|DurabilityFuzz|DurabilitySoak")
+    "ThreadPool|Sharded|BatchEquivalence|MetricsRegistry|Instruments|FaultInjector|ResilientChannel|ShardWatchdog|ShardFailures|Chaos|Checkpoint|TagProbe|TagLayout|FlowMemory|Simd|Hugepage|Slab|CpuFeatures|Crc32|FrameStream|TcpTransport|Collector|LoopbackFleet|HttpExporter|TraceRecorder|ChromeTrace|FleetAggregator|RegistryGeneration|SpoolWal|Journal|DurabilityFuzz|DurabilitySoak")
 
 # Sanitized binaries run ~10x slower: cap the soak's kill cycles so the
 # instrumented pass stays CI-sized (still two real kill/restart cycles).
@@ -84,18 +84,17 @@ endfunction()
 # the instrumented pool/sharded fan-out; the regex keeps the original
 # concurrency suites plus the robustness layer's concurrent paths
 # (injector hammering, watchdog-abandoned tasks, chaos pipeline) and the
-# new tag-layout/pinning suites. `.` keeps the tsan tree at BUILD_DIR
+# tag-layout suites. `.` keeps the tsan tree at BUILD_DIR
 # itself so existing caches keep working.
 run_sanitized(thread . "${ND_SANITIZE_TEST_REGEX}")
 
-# The flow-memory probe and the pinned-pool/affinity paths again under
-# asan (OOB on the tag array, use-after-free across worker handoff) and
+# The flow-memory probe again under asan (OOB on the tag array) and
 # ubsan (misaligned/overflowing SWAR arithmetic), plus the durability
 # formats — wal scan/resync and journal replay are byte-level parsers
 # over attacker-shaped input, and the soak exercises the whole
 # fork/exec + kill + recover loop under the instrumented runtime.
 set(ND_FLOWMEM_TEST_REGEX
-    "TagProbe|TagLayout|FlowMemory|ShardAffinity|ThreadPoolPinning|Simd|Hugepage|Slab|CpuFeatures|Crc32|SpoolWal|Journal|DurabilityFuzz|DurabilitySoak")
+    "TagProbe|TagLayout|FlowMemory|Simd|Hugepage|Slab|CpuFeatures|Crc32|SpoolWal|Journal|DurabilityFuzz|DurabilitySoak")
 run_sanitized(address asan-check "${ND_FLOWMEM_TEST_REGEX}")
 run_sanitized(undefined ubsan-check "${ND_FLOWMEM_TEST_REGEX}")
 
