@@ -4,6 +4,7 @@
 // that both converge to the target usage without overflowing.
 #include <cstdio>
 #include <memory>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "common/format.hpp"
@@ -35,11 +36,15 @@ void trajectory(const char* label,
   for (std::uint32_t interval = 0;; ++interval) {
     const auto packets = synth.next_interval();
     if (packets.empty()) break;
+    std::vector<packet::ClassifiedPacket> batch;
+    batch.reserve(packets.size());
     for (const auto& packet : packets) {
       if (const auto key = definition.classify(packet)) {
-        adaptive.observe(*key, packet.size_bytes);
+        batch.push_back(
+            packet::ClassifiedPacket::from(*key, packet.size_bytes));
       }
     }
+    adaptive.observe_batch(batch);
     const common::ByteCount threshold_used = adaptive.threshold();
     const auto report = adaptive.end_interval();
     table.add_row(

@@ -72,13 +72,17 @@ int main(int argc, char** argv) {
       const auto packets = synth.next_interval();
       if (packets.empty()) break;
       eval::TruthMap truth;
+      std::vector<packet::ClassifiedPacket> batch;
+      batch.reserve(packets.size());
       for (const auto& packet : packets) {
         if (const auto key = definition.classify(packet)) {
-          meter.observe(*key, packet.size_bytes);
-          oracle.observe(*key, packet.size_bytes);
+          batch.push_back(
+              packet::ClassifiedPacket::from(*key, packet.size_bytes));
           truth[*key] += packet.size_bytes;
         }
       }
+      meter.observe_batch(batch);
+      oracle.observe_batch(batch);
       const auto exact_report = oracle.end_interval();
       const auto metered_report = meter.end_interval();
       const std::size_t customers = exact_report.flows.size();

@@ -8,6 +8,7 @@
 // channel, while basic NetFlow suffers the paper's "up to 90%" losses.
 #include <cstdio>
 #include <memory>
+#include <vector>
 
 #include "baseline/sampled_netflow.hpp"
 #include "bench_common.hpp"
@@ -89,12 +90,16 @@ int main(int argc, char** argv) {
   for (;;) {
     const auto packets = synth.next_interval();
     if (packets.empty()) break;
-    for (auto& row : rows) {
-      for (const auto& packet : packets) {
-        if (const auto key = definition.classify(packet)) {
-          row.device->observe(*key, packet.size_bytes);
-        }
+    std::vector<packet::ClassifiedPacket> batch;
+    batch.reserve(packets.size());
+    for (const auto& packet : packets) {
+      if (const auto key = definition.classify(packet)) {
+        batch.push_back(
+            packet::ClassifiedPacket::from(*key, packet.size_bytes));
       }
+    }
+    for (auto& row : rows) {
+      row.device->observe_batch(batch);
       auto report = row.device->end_interval();
       core::sort_by_size(report);  // heavy hitters first on the wire
       row.records += report.flows.size();

@@ -5,8 +5,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <memory>
 #include <span>
@@ -45,75 +43,36 @@ constexpr std::size_t kStreamPackets = 1 << 16;
 static_assert(std::has_single_bit(kStreamPackets),
               "run_device's index masking needs a power-of-two stream");
 
-/// Pre-generated skewed packet stream shared by the device benches.
-std::vector<std::pair<packet::FlowKey, std::uint32_t>> make_stream(
-    std::size_t flows, std::size_t packets) {
+/// Pre-generated, pre-classified skewed packet stream shared by the
+/// device benches.
+std::vector<packet::ClassifiedPacket> make_stream(std::size_t flows,
+                                                  std::size_t packets) {
   common::Rng rng(7);
-  std::vector<std::pair<packet::FlowKey, std::uint32_t>> stream;
+  std::vector<packet::ClassifiedPacket> stream;
   stream.reserve(packets);
   for (std::size_t i = 0; i < packets; ++i) {
     // Skew toward low flow ids (elephants).
     const auto raw = rng.uniform(flows);
     const auto id = static_cast<std::uint32_t>(rng.uniform(raw + 1));
-    stream.emplace_back(packet::FlowKey::destination_ip(id),
-                        static_cast<std::uint32_t>(40 + rng.uniform(1460)));
+    stream.push_back(packet::ClassifiedPacket::from(
+        packet::FlowKey::destination_ip(id),
+        static_cast<std::uint32_t>(40 + rng.uniform(1460))));
   }
   return stream;
 }
 
-const auto& stream() {
+const std::vector<packet::ClassifiedPacket>& classified_stream() {
   static const auto s = make_stream(10'000, kStreamPackets);
   return s;
 }
 
-/// The same stream pre-classified for the observe_batch benches.
-const std::vector<packet::ClassifiedPacket>& classified_stream() {
-  static const auto s = [] {
-    std::vector<packet::ClassifiedPacket> classified;
-    classified.reserve(stream().size());
-    for (const auto& [key, size] : stream()) {
-      classified.push_back(packet::ClassifiedPacket::from(key, size));
-    }
-    return classified;
-  }();
-  return s;
-}
-
+/// Sweeps the classified stream in chunks through observe_batch, the
+/// device's only packet entry point. Items processed = packets, so
+/// items/sec is packets/sec.
 template <typename Device>
-void run_device(benchmark::State& state, Device& device) {
-  std::size_t i = 0;
-  const auto& packets = stream();
-  // The `& (size - 1)` wrap silently corrupts indexing for any
-  // non-power-of-two stream; fail loudly instead (NDEBUG strips
-  // assert() in RelWithDebInfo, so check explicitly).
-  if (!std::has_single_bit(packets.size())) {
-    std::fprintf(stderr,
-                 "run_device: stream size %zu is not a power of two\n",
-                 packets.size());
-    std::abort();
-  }
-  for (auto _ : state) {
-    const auto& [key, size] = packets[i];
-    device.observe(key, size);
-    i = (i + 1) & (packets.size() - 1);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-
-/// Batched counterpart of run_device: sweeps the classified stream in
-/// chunks through observe_batch. Items processed = packets, so items/sec
-/// is directly comparable with the scalar benches.
-template <typename Device>
-void run_device_batched(benchmark::State& state, Device& device,
-                        std::size_t chunk = 1024) {
+void run_device(benchmark::State& state, Device& device,
+                std::size_t chunk = 1024) {
   const auto& packets = classified_stream();
-  if (!std::has_single_bit(packets.size())) {
-    std::fprintf(stderr,
-                 "run_device_batched: stream size %zu is not a power of "
-                 "two\n",
-                 packets.size());
-    std::abort();
-  }
   std::size_t offset = 0;
   for (auto _ : state) {
     device.observe_batch(
@@ -124,29 +83,6 @@ void run_device_batched(benchmark::State& state, Device& device,
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(chunk));
 }
-
-void BM_SampleAndHold(benchmark::State& state) {
-  core::SampleAndHoldConfig config;
-  config.flow_memory_entries = 8192;
-  config.threshold = 1'000'000;
-  config.oversampling = 4.0;
-  core::SampleAndHold device(config);
-  run_device(state, device);
-}
-BENCHMARK(BM_SampleAndHold);
-
-void BM_MultistageParallel(benchmark::State& state) {
-  core::MultistageFilterConfig config;
-  config.flow_memory_entries = 8192;
-  config.depth = static_cast<std::uint32_t>(state.range(0));
-  config.buckets_per_stage = 4096;
-  config.threshold = 1'000'000;
-  config.conservative_update = false;
-  config.shielding = false;
-  core::MultistageFilter device(config);
-  run_device(state, device);
-}
-BENCHMARK(BM_MultistageParallel)->Arg(1)->Arg(2)->Arg(4);
 
 void BM_MultistageConservative(benchmark::State& state) {
   core::MultistageFilterConfig config;
@@ -173,9 +109,8 @@ void BM_MultistageSerial(benchmark::State& state) {
 }
 BENCHMARK(BM_MultistageSerial);
 
-// Batched fast path of the parallel filter — same configuration as
-// BM_MultistageParallel, so the scalar/batch delta is the virtual-call
-// amortization + flow-memory prefetch.
+// The parallel filter without conservative update or shielding:
+// every packet reads and writes its d stage counters.
 void BM_MultistageParallelBatch(benchmark::State& state) {
   core::MultistageFilterConfig config;
   config.flow_memory_entries = 8192;
@@ -185,7 +120,7 @@ void BM_MultistageParallelBatch(benchmark::State& state) {
   config.conservative_update = false;
   config.shielding = false;
   core::MultistageFilter device(config);
-  run_device_batched(state, device);
+  run_device(state, device);
 }
 BENCHMARK(BM_MultistageParallelBatch)->Arg(1)->Arg(2)->Arg(4);
 
@@ -195,7 +130,7 @@ void BM_SampleAndHoldBatch(benchmark::State& state) {
   config.threshold = 1'000'000;
   config.oversampling = 4.0;
   core::SampleAndHold device(config);
-  run_device_batched(state, device);
+  run_device(state, device);
 }
 BENCHMARK(BM_SampleAndHoldBatch);
 
@@ -242,7 +177,7 @@ void BM_ShardedDevice(benchmark::State& state) {
       sharded, [&](std::uint32_t, std::uint64_t shard_seed_value) {
         return make_shard_filter(shards, shard_seed_value);
       });
-  run_device_batched(state, device);
+  run_device(state, device);
   report_shard_usage(state, device.end_interval());
 }
 BENCHMARK(BM_ShardedDevice)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
@@ -264,7 +199,7 @@ void BM_ShardedAdaptiveDevice(benchmark::State& state) {
       sharded, [&](std::uint32_t, std::uint64_t shard_seed_value) {
         return make_shard_filter(shards, shard_seed_value);
       });
-  run_device_batched(state, device);
+  run_device(state, device);
   // Replay the stream as whole intervals so the per-shard adaptors walk
   // the (deliberately high) bench threshold to equilibrium; the counters
   // then record where adaptation steered each shard's usage.
@@ -280,7 +215,7 @@ BENCHMARK(BM_ShardedAdaptiveDevice)->Arg(1)->Arg(4)->Arg(8)
 
 // --- Telemetry overhead series -------------------------------------
 //
-// The telemetry-off cost is already in BM_SampleAndHold /
+// The telemetry-off cost is already in BM_SampleAndHoldBatch /
 // BM_MultistageConservative above: those devices carry the null
 // instrument handles and pay the one predictable `enabled()` branch per
 // packet the overhead contract allows (< 2%). The *Telemetry variants
@@ -345,7 +280,7 @@ void BM_ShardedDeviceTelemetry(benchmark::State& state) {
         config.metric_labels = {{"shard", std::to_string(shard)}};
         return std::make_unique<core::MultistageFilter>(config);
       });
-  run_device_batched(state, device);
+  run_device(state, device);
   report_shard_usage(state, device.end_interval());
   state.counters["telemetry_series"] =
       static_cast<double>(registry.size());

@@ -6,6 +6,7 @@
 // "faster detection of new large flows" (Section 5.2, advantage v) —
 // and (b) sampled NetFlow's estimate of the same aggregate wobbling.
 #include <cstdio>
+#include <vector>
 
 #include "baseline/sampled_netflow.hpp"
 #include "common/format.hpp"
@@ -67,12 +68,16 @@ int main() {
   for (;;) {
     const auto packets = synth.next_interval();
     if (packets.empty()) break;
+    std::vector<packet::ClassifiedPacket> batch;
+    batch.reserve(packets.size());
     for (const auto& packet : packets) {
       if (const auto key = definition.classify(packet)) {
-        filter.observe(*key, packet.size_bytes);
-        netflow.observe(*key, packet.size_bytes);
+        batch.push_back(
+            packet::ClassifiedPacket::from(*key, packet.size_bytes));
       }
     }
+    filter.observe_batch(batch);
+    netflow.observe_batch(batch);
     const auto filter_report = filter.end_interval();
     const auto netflow_report = netflow.end_interval();
 

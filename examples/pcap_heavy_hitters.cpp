@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "common/format.hpp"
 #include "core/multistage_filter.hpp"
@@ -94,8 +95,14 @@ int main(int argc, char** argv) {
     common::TimestampNs interval_end = interval_ns;
     std::uint64_t packets = 0;
     std::uint32_t interval = 0;
+    // The current interval's classified packets, fed to both devices
+    // as one batch when the interval closes.
+    std::vector<packet::ClassifiedPacket> batch;
 
     auto close_interval = [&] {
+      sample_and_hold.observe_batch(batch);
+      multistage.observe_batch(batch);
+      batch.clear();
       std::printf("interval %u (%llu packets so far), flows above %s:\n",
                   interval++, static_cast<unsigned long long>(packets),
                   common::format_bytes(threshold).c_str());
@@ -112,8 +119,8 @@ int main(int argc, char** argv) {
         interval_end += interval_ns;
       }
       if (const auto key = definition.classify(*record)) {
-        sample_and_hold.observe(*key, record->size_bytes);
-        multistage.observe(*key, record->size_bytes);
+        batch.push_back(
+            packet::ClassifiedPacket::from(*key, record->size_bytes));
       }
       ++packets;
     }

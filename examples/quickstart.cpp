@@ -7,6 +7,7 @@
 // parallel multistage filter with conservative update and shielding, and
 // prints the flows above 0.1% of link capacity after each interval.
 #include <cstdio>
+#include <vector>
 
 #include "common/format.hpp"
 #include "core/multistage_filter.hpp"
@@ -51,11 +52,16 @@ int main() {
     const auto packets = synth.next_interval();
     if (packets.empty()) break;
 
+    // Classify the interval once, then hand the device the whole batch.
+    std::vector<packet::ClassifiedPacket> batch;
+    batch.reserve(packets.size());
     for (const auto& packet : packets) {
       if (const auto key = definition.classify(packet)) {
-        device.observe(*key, packet.size_bytes);
+        batch.push_back(
+            packet::ClassifiedPacket::from(*key, packet.size_bytes));
       }
     }
+    device.observe_batch(batch);
 
     auto report = device.end_interval();
     core::sort_by_size(report);

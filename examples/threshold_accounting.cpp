@@ -77,12 +77,16 @@ int main() {
   for (;;) {
     const auto packets = synth.next_interval();
     if (packets.empty()) break;
+    std::vector<packet::ClassifiedPacket> batch;
+    batch.reserve(packets.size());
     for (const auto& packet : packets) {
       if (const auto key = definition.classify(packet)) {
-        meter.observe(*key, packet.size_bytes);
-        oracle.observe(*key, packet.size_bytes);
+        batch.push_back(
+            packet::ClassifiedPacket::from(*key, packet.size_bytes));
       }
     }
+    meter.observe_batch(batch);
+    oracle.observe_batch(batch);
     const auto metered = meter.end_interval();
     const auto exact = oracle.end_interval();
     const std::size_t customers = exact.flows.size();

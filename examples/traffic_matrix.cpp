@@ -58,11 +58,15 @@ int main() {
   for (;;) {
     const auto packets = synth.next_interval();
     if (packets.empty()) break;
+    std::vector<packet::ClassifiedPacket> batch;
+    batch.reserve(packets.size());
     for (const auto& packet : packets) {
       if (const auto key = definition.classify(packet)) {
-        device.observe(*key, packet.size_bytes);
+        batch.push_back(
+            packet::ClassifiedPacket::from(*key, packet.size_bytes));
       }
     }
+    device.observe_batch(batch);
     last_report = device.end_interval();
   }
 

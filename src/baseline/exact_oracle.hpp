@@ -15,11 +15,6 @@ class ExactOracle final : public core::MeasurementDevice {
  public:
   ExactOracle() = default;
 
-  void observe(const packet::FlowKey& key, std::uint32_t bytes) override {
-    ++packets_;
-    bytes_[key] += bytes;
-  }
-
   void observe_batch(
       std::span<const packet::ClassifiedPacket> batch) override {
     packets_ += batch.size();

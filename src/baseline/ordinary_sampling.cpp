@@ -14,36 +14,31 @@ OrdinarySampling::OrdinarySampling(const OrdinarySamplingConfig& config)
   skip_ = rng_.geometric(config_.byte_sampling_probability);
 }
 
-void OrdinarySampling::observe(const packet::FlowKey& key,
-                               std::uint32_t bytes) {
-  ++packets_;
-  // Geometric skip over the byte stream; a packet may contain several
-  // sampled bytes, each contributing one "sample" (we credit the packet
-  // once per sampled byte so the estimator stays unbiased).
-  std::uint32_t samples_in_packet = 0;
-  common::ByteCount remaining = bytes;
-  while (skip_ < remaining) {
-    remaining -= skip_ + 1;
-    ++samples_in_packet;
-    skip_ = rng_.geometric(config_.byte_sampling_probability);
-  }
-  skip_ -= remaining;
-  if (samples_in_packet == 0) return;
-
-  flowmem::FlowEntry* entry = memory_.find(key);
-  if (entry == nullptr) {
-    entry = memory_.insert(key, interval_);
-    if (entry == nullptr) return;  // SRAM full: sample lost
-  }
-  flowmem::FlowMemory::add_bytes(*entry, samples_in_packet);
-}
-
 void OrdinarySampling::observe_batch(
     std::span<const packet::ClassifiedPacket> batch) {
   // Most packets contain no sampled byte and never touch the flow
   // memory, so no prefetch: the hot state is just the skip counter.
+  packets_ += batch.size();
   for (const packet::ClassifiedPacket& packet : batch) {
-    observe(packet.key, packet.bytes);  // non-virtual: class is final
+    // Geometric skip over the byte stream; a packet may contain several
+    // sampled bytes, each contributing one "sample" (we credit the
+    // packet once per sampled byte so the estimator stays unbiased).
+    std::uint32_t samples_in_packet = 0;
+    common::ByteCount remaining = packet.bytes;
+    while (skip_ < remaining) {
+      remaining -= skip_ + 1;
+      ++samples_in_packet;
+      skip_ = rng_.geometric(config_.byte_sampling_probability);
+    }
+    skip_ -= remaining;
+    if (samples_in_packet == 0) continue;
+
+    flowmem::FlowEntry* entry = memory_.find(packet.key);
+    if (entry == nullptr) {
+      entry = memory_.insert(packet.key, interval_);
+      if (entry == nullptr) continue;  // SRAM full: sample lost
+    }
+    flowmem::FlowMemory::add_bytes(*entry, samples_in_packet);
   }
 }
 

@@ -26,7 +26,6 @@ class OrdinarySampling final : public core::MeasurementDevice {
  public:
   explicit OrdinarySampling(const OrdinarySamplingConfig& config);
 
-  void observe(const packet::FlowKey& key, std::uint32_t bytes) override;
   void observe_batch(
       std::span<const packet::ClassifiedPacket> batch) override;
   core::Report end_interval() override;

@@ -10,26 +10,21 @@ SampledNetFlow::SampledNetFlow(const SampledNetFlowConfig& config)
       config_.sampling_divisor, 1);
 }
 
-void SampledNetFlow::observe(const packet::FlowKey& key,
-                             std::uint32_t bytes) {
-  ++packets_;
-  bool sampled = false;
-  if (config_.deterministic) {
-    sampled = ++phase_ >= config_.sampling_divisor;
-    if (sampled) phase_ = 0;
-  } else {
-    sampled = rng_.bernoulli(1.0 / config_.sampling_divisor);
-  }
-  if (!sampled) return;
-  sampled_bytes_[key] += bytes;
-  ++dram_accesses_;
-  high_water_ = std::max(high_water_, sampled_bytes_.size());
-}
-
 void SampledNetFlow::observe_batch(
     std::span<const packet::ClassifiedPacket> batch) {
+  packets_ += batch.size();
   for (const packet::ClassifiedPacket& packet : batch) {
-    observe(packet.key, packet.bytes);  // non-virtual: class is final
+    bool sampled = false;
+    if (config_.deterministic) {
+      sampled = ++phase_ >= config_.sampling_divisor;
+      if (sampled) phase_ = 0;
+    } else {
+      sampled = rng_.bernoulli(1.0 / config_.sampling_divisor);
+    }
+    if (!sampled) continue;
+    sampled_bytes_[packet.key] += packet.bytes;
+    ++dram_accesses_;
+    high_water_ = std::max(high_water_, sampled_bytes_.size());
   }
 }
 

@@ -2,40 +2,33 @@
 
 namespace nd::baseline {
 
-void SmallestCounterEviction::observe(const packet::FlowKey& key,
-                                      std::uint32_t bytes) {
-  ++packets_;
-  ++accesses_;
-  if (auto it = table_.find(key); it != table_.end()) {
-    Slot& slot = it->second;
-    by_count_.erase(slot.index_it);
-    slot.bytes += bytes;
-    slot.index_it = by_count_.emplace(slot.bytes, key);
-    return;
-  }
-  if (table_.size() >= config_.flow_memory_entries &&
-      !config_.flow_memory_entries) {
-    return;
-  }
-  if (table_.size() >= config_.flow_memory_entries) {
-    // Evict the flow with the smallest measured traffic. The newcomer
-    // starts from scratch — which is exactly how a large flow can be
-    // starved forever by a stream of mice.
-    const auto victim = by_count_.begin();
-    table_.erase(victim->second);
-    by_count_.erase(victim);
-    ++evictions_;
-  }
-  Slot slot;
-  slot.bytes = bytes;
-  slot.index_it = by_count_.emplace(slot.bytes, key);
-  table_.emplace(key, slot);
-}
-
 void SmallestCounterEviction::observe_batch(
     std::span<const packet::ClassifiedPacket> batch) {
+  packets_ += batch.size();
+  accesses_ += batch.size();
   for (const packet::ClassifiedPacket& packet : batch) {
-    observe(packet.key, packet.bytes);  // non-virtual: class is final
+    const packet::FlowKey& key = packet.key;
+    if (auto it = table_.find(key); it != table_.end()) {
+      Slot& slot = it->second;
+      by_count_.erase(slot.index_it);
+      slot.bytes += packet.bytes;
+      slot.index_it = by_count_.emplace(slot.bytes, key);
+      continue;
+    }
+    if (config_.flow_memory_entries == 0) continue;
+    if (table_.size() >= config_.flow_memory_entries) {
+      // Evict the flow with the smallest measured traffic. The newcomer
+      // starts from scratch — which is exactly how a large flow can be
+      // starved forever by a stream of mice.
+      const auto victim = by_count_.begin();
+      table_.erase(victim->second);
+      by_count_.erase(victim);
+      ++evictions_;
+    }
+    Slot slot;
+    slot.bytes = packet.bytes;
+    slot.index_it = by_count_.emplace(slot.bytes, key);
+    table_.emplace(key, slot);
   }
 }
 

@@ -29,7 +29,6 @@ class SmallestCounterEviction final : public core::MeasurementDevice {
       const SmallestCounterEvictionConfig& config)
       : config_(config) {}
 
-  void observe(const packet::FlowKey& key, std::uint32_t bytes) override;
   void observe_batch(
       std::span<const packet::ClassifiedPacket> batch) override;
   core::Report end_interval() override;

@@ -23,10 +23,6 @@ class AdaptiveDevice final : public MeasurementDevice {
   AdaptiveDevice(std::unique_ptr<MeasurementDevice> device,
                  const ThresholdAdaptorConfig& adaptor_config);
 
-  void observe(const packet::FlowKey& key, std::uint32_t bytes) override {
-    device_->observe(key, bytes);
-  }
-
   void observe_batch(
       std::span<const packet::ClassifiedPacket> batch) override {
     device_->observe_batch(batch);  // keep the inner device's fast path

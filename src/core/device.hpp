@@ -1,10 +1,11 @@
 // The uniform interface all traffic measurement devices implement.
 //
 // A device observes every packet of a measurement interval (already
-// classified to a FlowKey by a packet::FlowDefinition) and, at the end of
-// the interval, reports the flows it measured — mirroring the paper's
-// model where the router sends per-interval reports to a management
-// station (Section 5.2 normalizes NetFlow to this model too).
+// classified to a FlowKey by a packet::FlowDefinition and fed in batches
+// of packet::ClassifiedPacket) and, at the end of the interval, reports
+// the flows it measured — mirroring the paper's model where the router
+// sends per-interval reports to a management station (Section 5.2
+// normalizes NetFlow to this model too).
 #pragma once
 
 #include <cstdint>
@@ -14,6 +15,7 @@
 
 #include "common/state_buffer.hpp"
 #include "common/types.hpp"
+#include "hash/hash.hpp"
 #include "packet/classified_packet.hpp"
 #include "packet/flow_key.hpp"
 
@@ -90,8 +92,8 @@ void sort_by_size(Report& report);
 /// threshold carried forward unchanged, smoothed usage = instantaneous
 /// entries/capacity. ShardedDevice uses this for every healthy shard
 /// (its adaptor then overrides next_threshold/smoothed_usage); a fleet
-/// member (net::FleetMember) uses it to annotate the report it ships to
-/// a collector, so the two paths stay bit-identical by construction.
+/// member (net::FleetSliceDevice) uses it to annotate the report it
+/// ships to a collector.
 [[nodiscard]] ShardStatus make_shard_status(const Report& report,
                                             std::size_t capacity,
                                             std::uint64_t packets,
@@ -102,38 +104,41 @@ void sort_by_size(Report& report);
 /// member order) into one report — shards concatenated, flows
 /// concatenated in member order, threshold = max per-member status
 /// threshold, entries_used = sum. ShardedDevice::end_interval and the
-/// collector daemon's fleet-merge stage share this function, which is
-/// what makes a fleet of M devices merge bit-identically to one
+/// collector daemon's fleet-merge stage both call this function, which
+/// is what makes a fleet of M devices merge bit-identically to one
 /// M-sharded device over the same partitioned traffic.
 [[nodiscard]] Report merge_member_reports(common::IntervalIndex interval,
                                           std::span<const Report> members);
 
-/// The RSS-style flow->shard routing ShardedDevice uses, exposed so a
-/// measurement fleet can partition traffic across separate processes
-/// exactly as one sharded device would across replicas: splitmix the
-/// seeded-salted fingerprint, reduce to [0, shards).
-[[nodiscard]] std::uint32_t shard_route(std::uint64_t seed,
-                                        std::uint32_t shards,
-                                        std::uint64_t fingerprint);
+/// The RSS-style flow->shard routing of ShardedDevice::shard_of and
+/// net::FleetSliceDevice, so a measurement fleet partitions traffic
+/// across separate processes exactly as one sharded device does across
+/// replicas: splitmix the seeded-salted fingerprint, reduce to
+/// [0, shards). Inline so a scatter loop that holds `seed` in a local
+/// computes the salt once, not per packet.
+[[nodiscard]] inline std::uint32_t shard_route(std::uint64_t seed,
+                                               std::uint32_t shards,
+                                               std::uint64_t fingerprint) {
+  // splitmix the salted fingerprint so shard routing stays uncorrelated
+  // with the inner devices' stage hashes and flow-memory placement.
+  const std::uint64_t salt = hash::splitmix64(seed ^ 0x5AD0FF5E7ULL);
+  return static_cast<std::uint32_t>(hash::reduce_to_range(
+      hash::splitmix64(fingerprint ^ salt), shards));
+}
 
 class MeasurementDevice {
  public:
   virtual ~MeasurementDevice() = default;
 
-  /// Process one packet of `bytes` bytes belonging to flow `key`.
-  virtual void observe(const packet::FlowKey& key, std::uint32_t bytes) = 0;
-
-  /// Process a batch of pre-classified packets, in order. Semantically
-  /// identical to calling observe() per packet — overrides MUST produce
-  /// bit-identical state (the equivalence tests enforce this) — but one
-  /// virtual call amortizes over the whole batch and implementations run
-  /// tight non-virtual inner loops with software prefetch.
+  /// Process a batch of pre-classified packets, in arrival order — the
+  /// only packet entry point. Results depend on the packet sequence
+  /// alone, never on how it is split into batches (the chunking
+  /// invariance tests enforce this), so a batch of one is a valid call
+  /// and one virtual call amortizes over a whole batch otherwise;
+  /// implementations run tight non-virtual inner loops with software
+  /// prefetch.
   virtual void observe_batch(
-      std::span<const packet::ClassifiedPacket> batch) {
-    for (const packet::ClassifiedPacket& packet : batch) {
-      observe(packet.key, packet.bytes);
-    }
-  }
+      std::span<const packet::ClassifiedPacket> batch) = 0;
 
   /// Close the current measurement interval and report.
   virtual Report end_interval() = 0;

@@ -62,12 +62,6 @@ void MultistageFilter::admit(const packet::FlowKey& key,
   flowmem::FlowMemory::add_bytes(*entry, bytes);
 }
 
-void MultistageFilter::observe(const packet::FlowKey& key,
-                               std::uint32_t bytes) {
-  observe_impl(key, key.fingerprint(), bytes,
-               memory_.hash_of(key.fingerprint()), nullptr);
-}
-
 // Flattened: the per-packet helpers (observe_impl, bucket_all, the
 // flow-memory probe) otherwise stay out-of-line calls, and their
 // call/spill overhead plus re-loading the table base pointers each

@@ -63,7 +63,6 @@ class MultistageFilter final : public MeasurementDevice {
  public:
   explicit MultistageFilter(const MultistageFilterConfig& config);
 
-  void observe(const packet::FlowKey& key, std::uint32_t bytes) override;
   void observe_batch(
       std::span<const packet::ClassifiedPacket> batch) override;
   Report end_interval() override;
@@ -107,12 +106,12 @@ class MultistageFilter final : public MeasurementDevice {
     return config_;
   }
 
- private:
   /// Tag-word prefetch distance for observe_batch (payload prefetch
   /// stays at distance 1); see SampleAndHold::kPrefetchDistance.
   static constexpr std::size_t kPrefetchDistance = 8;
 
-  /// Shared scalar/batch packet path; `fp` is the caller-cached
+ private:
+  /// One packet of the batch loop; `fp` is the caller-cached
   /// key.fingerprint() and `hash` the caller-cached flow-memory
   /// placement hash (memory_.hash_of(fp)) — the batched loop computes
   /// it once per packet for the prefetch stages and the lookup alike.

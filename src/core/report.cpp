@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "hash/hash.hpp"
-
 namespace nd::core {
 
 void sort_by_size(Report& report) {
@@ -68,15 +66,6 @@ Report merge_member_reports(common::IntervalIndex interval,
                         member.flows.end());
   }
   return merged;
-}
-
-std::uint32_t shard_route(std::uint64_t seed, std::uint32_t shards,
-                          std::uint64_t fingerprint) {
-  // splitmix the salted fingerprint so shard routing stays uncorrelated
-  // with the inner devices' stage hashes and flow-memory placement.
-  const std::uint64_t salt = hash::splitmix64(seed ^ 0x5AD0FF5E7ULL);
-  return static_cast<std::uint32_t>(hash::reduce_to_range(
-      hash::splitmix64(fingerprint ^ salt), shards));
 }
 
 }  // namespace nd::core

@@ -96,10 +96,6 @@ bool SampleAndHold::sample_packet(std::uint32_t bytes) {
   }
 }
 
-void SampleAndHold::observe(const packet::FlowKey& key, std::uint32_t bytes) {
-  observe_hashed(key, bytes, memory_.hash_of(key.fingerprint()));
-}
-
 void SampleAndHold::observe_hashed(const packet::FlowKey& key,
                                    std::uint32_t bytes, std::uint64_t hash) {
   ++packets_;

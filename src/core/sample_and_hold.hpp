@@ -63,7 +63,6 @@ class SampleAndHold final : public MeasurementDevice {
  public:
   explicit SampleAndHold(const SampleAndHoldConfig& config);
 
-  void observe(const packet::FlowKey& key, std::uint32_t bytes) override;
   void observe_batch(
       std::span<const packet::ClassifiedPacket> batch) override;
   Report end_interval() override;
@@ -97,16 +96,16 @@ class SampleAndHold final : public MeasurementDevice {
     return dropped_samples_;
   }
 
- private:
   /// How many packets ahead observe_batch requests the next flow's tag
   /// word (the short-distance payload prefetch stays at 1). Far enough
   /// to cover an LLC miss at a few ns per packet of loop work; small
   /// enough that a batch tail is mostly covered.
   static constexpr std::size_t kPrefetchDistance = 8;
 
+ private:
   void refresh_probability();
   [[nodiscard]] bool sample_packet(std::uint32_t bytes);
-  /// observe() with the flow-memory placement hash already computed;
+  /// One packet with the flow-memory placement hash already computed;
   /// the batched loop hashes each packet exactly once and shares the
   /// value between the prefetch stages and the lookup.
   void observe_hashed(const packet::FlowKey& key, std::uint32_t bytes,

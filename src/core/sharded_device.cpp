@@ -50,7 +50,7 @@ class FirstShardError {
 
 ShardedDevice::ShardedDevice(const ShardedDeviceConfig& config,
                              const Factory& factory)
-    : route_salt_(hash::splitmix64(config.seed ^ 0x5AD0FF5E7ULL)),
+    : seed_(config.seed),
       pool_(config.pool),
       watchdog_timeout_(config.watchdog_timeout),
       faults_(config.faults),
@@ -127,13 +127,6 @@ void ShardedDevice::enable_adaptation(const ThresholdAdaptorConfig& config) {
   adaptors_.assign(shards_.size(), ThresholdAdaptor(config));
 }
 
-std::uint32_t ShardedDevice::shard_of(std::uint64_t fingerprint) const {
-  // splitmix the salted fingerprint so shard routing stays uncorrelated
-  // with the inner devices' stage hashes and flow-memory placement.
-  return static_cast<std::uint32_t>(hash::reduce_to_range(
-      hash::splitmix64(fingerprint ^ route_salt_), shards_.size()));
-}
-
 template <typename Task>
 void ShardedDevice::run_shards(const Task& task) {
   const std::size_t n = shards_.size();
@@ -157,15 +150,6 @@ void ShardedDevice::run_shards(const Task& task) {
     }
   }
   error.rethrow();
-}
-
-void ShardedDevice::observe(const packet::FlowKey& key,
-                            std::uint32_t bytes) {
-  drain_stuck();
-  const std::uint32_t s = shard_of(key.fingerprint());
-  ++interval_packets_[s];
-  interval_bytes_[s] += bytes;
-  shards_[s]->observe(key, bytes);
 }
 
 void ShardedDevice::observe_batch(
@@ -194,8 +178,12 @@ void ShardedDevice::observe_batch(
   for (auto& shard_batch : shard_batches_) {
     shard_batch.clear();
   }
+  // Loop-invariant locals, so the inlined shard_route's salt is hoisted
+  // out of the per-packet loop.
+  const std::uint64_t seed = seed_;
+  const std::uint32_t shards = shard_count();
   for (const packet::ClassifiedPacket& packet : batch) {
-    const std::uint32_t s = shard_of(packet.fingerprint);
+    const std::uint32_t s = shard_route(seed, shards, packet.fingerprint);
     ++interval_packets_[s];
     interval_bytes_[s] += packet.bytes;
     shard_batches_[s].push_back(packet);
@@ -278,39 +266,37 @@ Report ShardedDevice::end_interval() {
     run_shards([&make_task](std::size_t s) { make_task(s)(); });
   }
 
-  // Per-shard adaptation: each shard's private adaptor sees only that
-  // shard's usage, so skewed slices of the flow space settle on their
-  // own thresholds instead of inheriting a global compromise. Degraded
-  // shards are merged from cached capacity and last-known thresholds —
-  // never from the shard itself, which the stalled close still owns —
-  // and skip adaptation for the interval.
-  Report merged;
-  merged.interval = interval_index_++;
-  merged.shards.resize(n);
-  std::size_t flows = 0;
+  // Build one member report per shard, annotated with its ShardStatus
+  // exactly as a fleet member annotates the report it ships to a
+  // collector, and merge them with the collector's own merge — so the
+  // in-process and over-the-wire merges agree bit for bit. Per-shard
+  // adaptation: each shard's private adaptor sees only that shard's
+  // usage, so skewed slices of the flow space settle on their own
+  // thresholds instead of inheriting a global compromise. A degraded
+  // shard contributes an empty report built from cached capacity and
+  // last-known threshold — never from the shard itself, which the
+  // stalled close still owns — and skips adaptation for the interval.
+  std::vector<Report> members(n);
   for (std::size_t s = 0; s < n; ++s) {
-    ShardStatus& status = merged.shards[s];
-    status.capacity = shard_capacity_[s];
-    status.packets = interval_packets_[s];
-    status.bytes = interval_bytes_[s];
+    Report& member = members[s];
+    ShardStatus status;
     if (degraded[s]) {
+      status.capacity = shard_capacity_[s];
+      status.packets = interval_packets_[s];
+      status.bytes = interval_bytes_[s];
       status.degraded = true;
       status.threshold = last_thresholds_[s];
       status.next_threshold = last_thresholds_[s];
-      merged.threshold = std::max(merged.threshold, last_thresholds_[s]);
+      member.shards.assign(1, status);
       continue;
     }
-    const Report& report = *slots[s];
-    // The healthy-shard status is exactly what a fleet member attaches
-    // to the report it ships to a collector (make_shard_status), so the
-    // in-process and over-the-wire merges agree bit for bit; adaptation
-    // then overrides the carried-forward threshold and usage.
-    status = make_shard_status(report, shard_capacity_[s],
+    member = std::move(*slots[s]);
+    status = make_shard_status(member, shard_capacity_[s],
                                interval_packets_[s], interval_bytes_[s]);
     if (adaptive()) {
       const common::ByteCount previous = shards_[s]->threshold();
       const common::ByteCount next = adaptors_[s].update(
-          previous, report.entries_used, status.capacity);
+          previous, member.entries_used, status.capacity);
       shards_[s]->set_threshold(next);
       status.next_threshold = next;
       status.smoothed_usage = adaptors_[s].smoothed_usage();
@@ -323,16 +309,9 @@ Report ShardedDevice::end_interval() {
       }
     }
     last_thresholds_[s] = status.next_threshold;
-    merged.threshold = std::max(merged.threshold, report.threshold);
-    flows += report.flows.size();
-    merged.entries_used += report.entries_used;
+    member.shards.assign(1, status);
   }
-  merged.flows.reserve(flows);
-  for (std::size_t s = 0; s < n; ++s) {
-    if (degraded[s]) continue;
-    merged.flows.insert(merged.flows.end(), slots[s]->flows.begin(),
-                        slots[s]->flows.end());
-  }
+  Report merged = merge_member_reports(interval_index_++, members);
 
   // Mirror the interval tallies into the registry (interval deltas into
   // counters, instantaneous state into gauges), then reset them. The

@@ -118,7 +118,6 @@ class ShardedDevice final : public MeasurementDevice {
   /// destroyed (a stalled close may still be writing shard state).
   ~ShardedDevice() override;
 
-  void observe(const packet::FlowKey& key, std::uint32_t bytes) override;
   void observe_batch(
       std::span<const packet::ClassifiedPacket> batch) override;
   Report end_interval() override;
@@ -172,8 +171,12 @@ class ShardedDevice final : public MeasurementDevice {
   [[nodiscard]] std::uint32_t shard_count() const {
     return static_cast<std::uint32_t>(shards_.size());
   }
-  /// Which shard a flow fingerprint routes to, in [0, shard_count()).
-  [[nodiscard]] std::uint32_t shard_of(std::uint64_t fingerprint) const;
+  /// Which shard a flow fingerprint routes to, in [0, shard_count()):
+  /// core::shard_route with the configured seed, the routing a fleet
+  /// member (net::FleetSliceDevice) applies too.
+  [[nodiscard]] std::uint32_t shard_of(std::uint64_t fingerprint) const {
+    return shard_route(seed_, shard_count(), fingerprint);
+  }
   [[nodiscard]] const MeasurementDevice& shard(std::uint32_t index) const {
     return *shards_[index];
   }
@@ -199,8 +202,8 @@ class ShardedDevice final : public MeasurementDevice {
 
   std::vector<std::unique_ptr<MeasurementDevice>> shards_;
   /// Always-on per-interval packet/byte tallies, indexed by shard.
-  /// Updated on the caller's thread (observe and the partition loop run
-  /// before any fan-out), reset at end_interval; they fill
+  /// Updated on the caller's thread (the partition loop runs before any
+  /// fan-out), reset at end_interval; they fill
   /// ShardStatus::packets/bytes and feed the telemetry mirror.
   std::vector<std::uint64_t> interval_packets_;
   std::vector<common::ByteCount> interval_bytes_;
@@ -215,9 +218,8 @@ class ShardedDevice final : public MeasurementDevice {
   telemetry::Counter* tm_threshold_lowers_{nullptr};
   telemetry::Gauge* tm_effective_threshold_{nullptr};
   telemetry::Histogram* tm_merge_ns_{nullptr};
-  /// Routing salt mixed into the fingerprint before shard reduction, so
-  /// shard routing is independent of the devices' own stage hashes.
-  std::uint64_t route_salt_;
+  /// ShardedDeviceConfig::seed, the shard_route seed.
+  std::uint64_t seed_;
   common::ThreadPool* pool_;
   /// Per-shard sub-batches, reused across observe_batch calls.
   std::vector<std::vector<packet::ClassifiedPacket>> shard_batches_;

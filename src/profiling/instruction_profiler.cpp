@@ -79,8 +79,9 @@ HotSpotProfiler::HotSpotProfiler(const ProfilerConfig& config)
     : filter_(filter_config(config)) {}
 
 void HotSpotProfiler::observe(const BlockExecution& execution) {
-  filter_.observe(block_key(execution.block_address),
-                  execution.instructions);
+  const auto packet = packet::ClassifiedPacket::from(
+      block_key(execution.block_address), execution.instructions);
+  filter_.observe_batch({&packet, 1});
 }
 
 std::vector<HotSpot> HotSpotProfiler::end_epoch() {

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include "../support/report_testing.hpp"
 #include "baseline/sampled_netflow.hpp"
 #include "core/sample_and_hold.hpp"
+
+using nd::testing::observe_one;
 
 namespace nd::accounting {
 namespace {
@@ -114,7 +117,7 @@ TEST(Overcharge, SampleAndHoldNeverOvercharges) {
       while (remaining > 0) {
         const auto size = static_cast<std::uint32_t>(
             std::min<common::ByteCount>(1000, remaining));
-        device.observe(customer(c), size);
+        observe_one(device, customer(c), size);
         remaining -= size;
       }
     }

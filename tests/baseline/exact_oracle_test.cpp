@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include "../support/report_testing.hpp"
+
+using nd::testing::observe_one;
+
 namespace nd::baseline {
 namespace {
 
@@ -11,9 +15,9 @@ packet::FlowKey key(std::uint32_t i) {
 
 TEST(ExactOracle, CountsExactly) {
   ExactOracle oracle;
-  oracle.observe(key(1), 100);
-  oracle.observe(key(1), 200);
-  oracle.observe(key(2), 50);
+  observe_one(oracle, key(1), 100);
+  observe_one(oracle, key(1), 200);
+  observe_one(oracle, key(2), 50);
   const auto report = oracle.end_interval();
   ASSERT_EQ(report.flows.size(), 2u);
   const auto* f1 = core::find_flow(report, key(1));
@@ -24,15 +28,15 @@ TEST(ExactOracle, CountsExactly) {
 
 TEST(ExactOracle, CurrentSizesLiveView) {
   ExactOracle oracle;
-  oracle.observe(key(7), 123);
+  observe_one(oracle, key(7), 123);
   EXPECT_EQ(oracle.current_sizes().at(key(7)), 123u);
 }
 
 TEST(ExactOracle, IntervalsIndependent) {
   ExactOracle oracle;
-  oracle.observe(key(1), 100);
+  observe_one(oracle, key(1), 100);
   const auto first = oracle.end_interval();
-  oracle.observe(key(1), 900);
+  observe_one(oracle, key(1), 900);
   const auto second = oracle.end_interval();
   EXPECT_EQ(first.flows[0].estimated_bytes, 100u);
   EXPECT_EQ(second.flows[0].estimated_bytes, 900u);
@@ -42,9 +46,9 @@ TEST(ExactOracle, IntervalsIndependent) {
 
 TEST(ExactOracle, SortAndFindHelpers) {
   ExactOracle oracle;
-  oracle.observe(key(1), 10);
-  oracle.observe(key(2), 30);
-  oracle.observe(key(3), 20);
+  observe_one(oracle, key(1), 10);
+  observe_one(oracle, key(2), 30);
+  observe_one(oracle, key(3), 20);
   auto report = oracle.end_interval();
   core::sort_by_size(report);
   EXPECT_EQ(report.flows[0].estimated_bytes, 30u);

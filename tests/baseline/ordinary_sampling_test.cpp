@@ -4,7 +4,10 @@
 
 #include <cmath>
 
+#include "../support/report_testing.hpp"
 #include "core/sample_and_hold.hpp"
+
+using nd::testing::observe_one;
 
 namespace nd::baseline {
 namespace {
@@ -18,7 +21,7 @@ void feed(core::MeasurementDevice& device, const packet::FlowKey& k,
   while (total > 0) {
     const auto size = static_cast<std::uint32_t>(
         std::min<common::ByteCount>(packet_size, total));
-    device.observe(k, size);
+    observe_one(device, k, size);
     total -= size;
   }
 }
@@ -46,7 +49,7 @@ TEST(OrdinarySampling, RespectsMemoryBound) {
   config.byte_sampling_probability = 1.0;  // sample everything
   OrdinarySampling device(config);
   for (std::uint32_t f = 0; f < 100; ++f) {
-    device.observe(key(f), 1000);
+    observe_one(device, key(f), 1000);
   }
   const auto report = device.end_interval();
   EXPECT_EQ(report.flows.size(), 8u);
@@ -86,8 +89,8 @@ TEST(OrdinarySampling, WorseThanSampleAndHoldAtEqualMemory) {
     feed(sh, key(1), kFlow);
     feed(os, key(1), kFlow);
     for (std::uint32_t f = 2; f < 2 + 9'000; ++f) {
-      sh.observe(key(f), 1000);
-      os.observe(key(f), 1000);
+      observe_one(sh, key(f), 1000);
+      observe_one(os, key(f), 1000);
     }
 
     const auto shr = sh.end_interval();
@@ -116,7 +119,7 @@ TEST(OrdinarySampling, MultipleSamplesPerPacketCounted) {
   config.byte_sampling_probability = 0.5;
   config.seed = 3;
   OrdinarySampling device(config);
-  device.observe(key(1), 10'000);
+  observe_one(device, key(1), 10'000);
   const auto report = device.end_interval();
   const auto* flow = core::find_flow(report, key(1));
   ASSERT_NE(flow, nullptr);
@@ -128,7 +131,7 @@ TEST(OrdinarySampling, NameAndCounters) {
   OrdinarySamplingConfig config;
   OrdinarySampling device(config);
   EXPECT_EQ(device.name(), "ordinary-sampling");
-  device.observe(key(1), 100);
+  observe_one(device, key(1), 100);
   EXPECT_EQ(device.packets_processed(), 1u);
 }
 
@@ -136,7 +139,7 @@ TEST(OrdinarySampling, IntervalClearsState) {
   OrdinarySamplingConfig config;
   config.byte_sampling_probability = 1.0;
   OrdinarySampling device(config);
-  device.observe(key(1), 100);
+  observe_one(device, key(1), 100);
   (void)device.end_interval();
   const auto second = device.end_interval();
   EXPECT_TRUE(second.flows.empty());

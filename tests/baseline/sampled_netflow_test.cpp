@@ -4,6 +4,10 @@
 
 #include <cmath>
 
+#include "../support/report_testing.hpp"
+
+using nd::testing::observe_one;
+
 namespace nd::baseline {
 namespace {
 
@@ -17,7 +21,7 @@ TEST(SampledNetFlow, DeterministicSamplesEveryXth) {
   config.deterministic = true;
   SampledNetFlow device(config);
   for (int i = 0; i < 16; ++i) {
-    device.observe(key(1), 100);
+    observe_one(device, key(1), 100);
   }
   const auto report = device.end_interval();
   ASSERT_EQ(report.flows.size(), 1u);
@@ -35,7 +39,7 @@ TEST(SampledNetFlow, EstimateUnbiasedOverRuns) {
     config.seed = static_cast<std::uint64_t>(run) + 1;
     SampledNetFlow device(config);
     for (int i = 0; i < 100; ++i) {
-      device.observe(key(1), 1000);
+      observe_one(device, key(1), 1000);
     }
     const auto report = device.end_interval();
     if (!report.flows.empty()) {
@@ -56,7 +60,7 @@ TEST(SampledNetFlow, CanOverestimate) {
     config.seed = seed;
     SampledNetFlow device(config);
     for (int i = 0; i < 64; ++i) {
-      device.observe(key(1), 1000);
+      observe_one(device, key(1), 1000);
     }
     const auto report = device.end_interval();
     if (!report.flows.empty() &&
@@ -74,7 +78,7 @@ TEST(SampledNetFlow, SmallFlowsOftenMissed) {
   config.seed = 99;
   SampledNetFlow device(config);
   for (std::uint32_t f = 0; f < 1600; ++f) {
-    device.observe(key(f), 40);
+    observe_one(device, key(f), 40);
   }
   const auto report = device.end_interval();
   EXPECT_NEAR(static_cast<double>(report.flows.size()), 100.0, 40.0);
@@ -85,7 +89,7 @@ TEST(SampledNetFlow, ReportClearsPerInterval) {
   config.deterministic = true;
   config.sampling_divisor = 1;
   SampledNetFlow device(config);
-  device.observe(key(1), 100);
+  observe_one(device, key(1), 100);
   (void)device.end_interval();
   const auto second = device.end_interval();
   EXPECT_TRUE(second.flows.empty());
@@ -95,7 +99,7 @@ TEST(SampledNetFlow, DivisorOneIsExact) {
   SampledNetFlowConfig config;
   config.sampling_divisor = 1;
   SampledNetFlow device(config);
-  for (int i = 0; i < 10; ++i) device.observe(key(1), 123);
+  for (int i = 0; i < 10; ++i) observe_one(device, key(1), 123);
   const auto report = device.end_interval();
   ASSERT_EQ(report.flows.size(), 1u);
   EXPECT_EQ(report.flows[0].estimated_bytes, 1230u);
@@ -115,7 +119,7 @@ TEST(SampledNetFlow, DramAccessesOnlyForSampledPackets) {
   config.sampling_divisor = 4;
   config.deterministic = true;
   SampledNetFlow device(config);
-  for (int i = 0; i < 100; ++i) device.observe(key(1), 100);
+  for (int i = 0; i < 100; ++i) observe_one(device, key(1), 100);
   // 25 sampled packets -> 25 DRAM updates; the whole point of NetFlow's
   // sampling is < 1 memory access per packet.
   EXPECT_EQ(device.memory_accesses(), 25u);
@@ -127,7 +131,7 @@ TEST(SampledNetFlow, HighWaterTracksEntries) {
   config.sampling_divisor = 1;
   config.deterministic = true;
   SampledNetFlow device(config);
-  for (std::uint32_t f = 0; f < 10; ++f) device.observe(key(f), 100);
+  for (std::uint32_t f = 0; f < 10; ++f) observe_one(device, key(f), 100);
   (void)device.end_interval();
   EXPECT_EQ(device.high_water_entries(), 10u);
 }

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include "../support/report_testing.hpp"
+
+using nd::testing::observe_one;
+
 namespace nd::baseline {
 namespace {
 
@@ -14,7 +18,7 @@ TEST(SmallestCounterEviction, TracksWithinCapacity) {
   config.flow_memory_entries = 4;
   SmallestCounterEviction device(config);
   for (std::uint32_t f = 0; f < 4; ++f) {
-    device.observe(key(f), 100 * (f + 1));
+    observe_one(device, key(f), 100 * (f + 1));
   }
   const auto report = device.end_interval();
   EXPECT_EQ(report.flows.size(), 4u);
@@ -25,9 +29,9 @@ TEST(SmallestCounterEviction, EvictsTheMinimum) {
   SmallestCounterEvictionConfig config;
   config.flow_memory_entries = 2;
   SmallestCounterEviction device(config);
-  device.observe(key(1), 1000);
-  device.observe(key(2), 50);
-  device.observe(key(3), 10);  // evicts key(2), the smallest
+  observe_one(device, key(1), 1000);
+  observe_one(device, key(2), 50);
+  observe_one(device, key(3), 10);  // evicts key(2), the smallest
   const auto report = device.end_interval();
   EXPECT_NE(core::find_flow(report, key(1)), nullptr);
   EXPECT_EQ(core::find_flow(report, key(2)), nullptr);
@@ -39,10 +43,10 @@ TEST(SmallestCounterEviction, UpdateMovesFlowUp) {
   SmallestCounterEvictionConfig config;
   config.flow_memory_entries = 2;
   SmallestCounterEviction device(config);
-  device.observe(key(1), 100);
-  device.observe(key(2), 100);
-  device.observe(key(1), 500);  // key(1) now 600, key(2) is minimum
-  device.observe(key(3), 10);
+  observe_one(device, key(1), 100);
+  observe_one(device, key(2), 100);
+  observe_one(device, key(1), 500);  // key(1) now 600, key(2) is minimum
+  observe_one(device, key(3), 10);
   const auto report = device.end_interval();
   EXPECT_NE(core::find_flow(report, key(1)), nullptr);
   EXPECT_EQ(core::find_flow(report, key(2)), nullptr);
@@ -63,12 +67,12 @@ TEST(SmallestCounterEviction, PaperCounterexampleStarvesElephant) {
   common::ByteCount elephant_truth = 0;
   std::uint32_t mouse_id = 1;
   for (int round = 0; round < 1000; ++round) {
-    device.observe(elephant, 40);
+    observe_one(device, elephant, 40);
     elephant_truth += 40;
     // A burst of brand-new mice, each slightly bigger than the
     // elephant's fresh counter.
     for (int m = 0; m < 8; ++m) {
-      device.observe(key(mouse_id++), 50);
+      observe_one(device, key(mouse_id++), 50);
     }
   }
   const auto report = device.end_interval();
@@ -85,7 +89,7 @@ TEST(SmallestCounterEviction, IntervalClears) {
   SmallestCounterEvictionConfig config;
   config.flow_memory_entries = 4;
   SmallestCounterEviction device(config);
-  device.observe(key(1), 100);
+  observe_one(device, key(1), 100);
   (void)device.end_interval();
   const auto second = device.end_interval();
   EXPECT_TRUE(second.flows.empty());
@@ -95,7 +99,7 @@ TEST(SmallestCounterEviction, NameAndCounters) {
   SmallestCounterEvictionConfig config;
   SmallestCounterEviction device(config);
   EXPECT_EQ(device.name(), "smallest-counter-eviction");
-  device.observe(key(1), 10);
+  observe_one(device, key(1), 10);
   EXPECT_EQ(device.packets_processed(), 1u);
   EXPECT_EQ(device.memory_accesses(), 1u);
 }

@@ -4,6 +4,10 @@
 
 #include <algorithm>
 
+#include "../support/report_testing.hpp"
+
+using nd::testing::observe_one;
+
 namespace nd::core {
 namespace {
 
@@ -16,7 +20,7 @@ void feed(MeasurementDevice& device, const packet::FlowKey& k,
   while (total > 0) {
     const auto size = static_cast<std::uint32_t>(
         std::min<common::ByteCount>(packet_size, total));
-    device.observe(k, size);
+    observe_one(device, k, size);
     total -= size;
   }
 }
@@ -83,7 +87,7 @@ TEST(MultistageFilter, CounterAccessor) {
   config.depth = 2;
   config.buckets_per_stage = 8;
   MultistageFilter device(config);
-  device.observe(key(1), 500);
+  observe_one(device, key(1), 500);
   common::ByteCount sum = 0;
   for (std::uint32_t s = 0; s < 2; ++s) {
     for (std::uint64_t b = 0; b < 8; ++b) {
@@ -101,10 +105,10 @@ TEST(MultistageFilter, ConservativeUpdateRaisesToMinOnly) {
   MultistageFilter device(config);
 
   // First flow loads some buckets.
-  device.observe(key(1), 900);
+  observe_one(device, key(1), 900);
   // Second flow: wherever it shares a bucket with flow 1, conservative
   // update must not inflate that bucket beyond max(old, min+size).
-  device.observe(key(2), 100);
+  observe_one(device, key(2), 100);
 
   common::ByteCount total = 0;
   for (std::uint32_t s = 0; s < 3; ++s) {
@@ -136,7 +140,7 @@ TEST(MultistageFilter, PassingPacketLeavesCountersUntouchedConservative) {
   config.threshold = 1000;
   MultistageFilter device(config);
 
-  device.observe(key(1), 1000);  // passes immediately (size >= T)
+  observe_one(device, key(1), 1000);  // passes immediately (size >= T)
   // Second conservative-update rule: no counter was updated.
   common::ByteCount total = 0;
   for (std::uint32_t s = 0; s < 2; ++s) {
@@ -158,7 +162,7 @@ TEST(MultistageFilter, ShieldingStopsCounterUpdatesForTrackedFlows) {
   config.conservative_update = false;
   MultistageFilter device(config);
 
-  device.observe(key(1), 1000);  // passes, enters flow memory
+  observe_one(device, key(1), 1000);  // passes, enters flow memory
   const common::ByteCount after_pass = [&] {
     common::ByteCount total = 0;
     for (std::uint32_t s = 0; s < 2; ++s) {
@@ -166,7 +170,7 @@ TEST(MultistageFilter, ShieldingStopsCounterUpdatesForTrackedFlows) {
     }
     return total;
   }();
-  device.observe(key(1), 500);  // shielded: no counter updates
+  observe_one(device, key(1), 500);  // shielded: no counter updates
   common::ByteCount after_shielded = 0;
   for (std::uint32_t s = 0; s < 2; ++s) {
     for (std::uint64_t b = 0; b < 4; ++b) {
@@ -189,8 +193,8 @@ TEST(MultistageFilter, WithoutShieldingTrackedFlowsKeepFeedingCounters) {
   config.threshold = 1000;
   MultistageFilter device(config);
 
-  device.observe(key(1), 1000);  // passes (plain update: counters += )
-  device.observe(key(1), 500);   // tracked but NOT shielded
+  observe_one(device, key(1), 1000);  // passes (plain update: counters += )
+  observe_one(device, key(1), 500);   // tracked but NOT shielded
   common::ByteCount total = 0;
   for (std::uint32_t s = 0; s < 2; ++s) {
     for (std::uint64_t b = 0; b < 4; ++b) total += device.counter(s, b);
@@ -216,7 +220,7 @@ TEST(MultistageFilter, SerialStagesShieldLaterStages) {
   config.conservative_update = false;
   MultistageFilter device(config);
 
-  device.observe(key(1), 500);  // stops at stage 0 (500 < 1000)
+  observe_one(device, key(1), 500);  // stops at stage 0 (500 < 1000)
   common::ByteCount stage1_total = 0;
   common::ByteCount stage0_total = 0;
   for (std::uint64_t b = 0; b < 4; ++b) {
@@ -243,7 +247,7 @@ TEST(MultistageFilter, DroppedPassesWhenMemoryFull) {
   config.threshold = 1000;
   MultistageFilter device(config);
   for (std::uint32_t i = 0; i < 10; ++i) {
-    device.observe(key(i), 1000);  // every flow passes instantly
+    observe_one(device, key(i), 1000);  // every flow passes instantly
   }
   EXPECT_EQ(device.dropped_passes(), 8u);
   const Report report = device.end_interval();
@@ -259,7 +263,7 @@ TEST(MultistageFilter, SetThresholdAffectsSerialStageThreshold) {
   device.set_threshold(8000);
   EXPECT_EQ(device.threshold(), 8000u);
   // A 2000-byte packet reaches stage threshold 8000/4 = 2000: passes.
-  device.observe(key(1), 2000);
+  observe_one(device, key(1), 2000);
   const Report report = device.end_interval();
   EXPECT_NE(find_flow(report, key(1)), nullptr);
 }
@@ -295,7 +299,7 @@ TEST(MultistageFilter, MemoryAccessAccounting) {
   MultistageFilterConfig config = basic_config();
   config.depth = 4;
   MultistageFilter device(config);
-  device.observe(key(1), 100);
+  observe_one(device, key(1), 100);
   // 1 flow-memory lookup + d reads + d writes.
   EXPECT_EQ(device.memory_accesses(), 1u + 4u + 4u);
   EXPECT_EQ(device.packets_processed(), 1u);

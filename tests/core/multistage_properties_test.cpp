@@ -14,8 +14,11 @@
 #include <unordered_map>
 #include <vector>
 
+#include "../support/report_testing.hpp"
 #include "common/rng.hpp"
 #include "core/multistage_filter.hpp"
+
+using nd::testing::observe_one;
 
 namespace nd::core {
 namespace {
@@ -68,7 +71,7 @@ TEST_P(NoFalseNegatives, EveryLargeFlowReported) {
   MultistageFilter device(config);
 
   for (const auto& [key, size] : w.packets) {
-    device.observe(key, size);
+    observe_one(device, key, size);
   }
   const Report report = device.end_interval();
 
@@ -112,8 +115,8 @@ TEST_P(ConservativeDominance, CountersPointwiseBelowPlain) {
   MultistageFilter conservative(config);
 
   for (const auto& [key, size] : w.packets) {
-    plain.observe(key, size);
-    conservative.observe(key, size);
+    observe_one(plain, key, size);
+    observe_one(conservative, key, size);
   }
   for (std::uint32_t s = 0; s < config.depth; ++s) {
     for (std::uint64_t b = 0; b < config.buckets_per_stage; ++b) {
@@ -139,7 +142,7 @@ TEST_P(ConservativeDominance, CountersStillUpperBoundFlowTraffic) {
   config.seed = seed ^ 0x99;
   MultistageFilter device(config);
   for (const auto& [key, size] : w.packets) {
-    device.observe(key, size);
+    observe_one(device, key, size);
   }
 
   hash::HashFamily family(config.seed, config.hash_kind);
@@ -176,7 +179,7 @@ TEST_P(DepthMonotonicity, MoreStagesFewerFalsePositives) {
     config.seed = seed;  // same seed: stage i identical across filters
     MultistageFilter device(config);
     for (const auto& [key, size] : w.packets) {
-      device.observe(key, size);
+      observe_one(device, key, size);
     }
     const Report report = device.end_interval();
     std::size_t fp = 0;

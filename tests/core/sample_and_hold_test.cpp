@@ -5,7 +5,10 @@
 #include <cmath>
 #include <unordered_map>
 
+#include "../support/report_testing.hpp"
 #include "common/rng.hpp"
+
+using nd::testing::observe_one;
 
 namespace nd::core {
 namespace {
@@ -20,7 +23,7 @@ void feed(MeasurementDevice& device, const packet::FlowKey& k,
   while (total > 0) {
     const auto size = static_cast<std::uint32_t>(
         std::min<common::ByteCount>(packet_size, total));
-    device.observe(k, size);
+    observe_one(device, k, size);
     total -= size;
   }
 }
@@ -102,7 +105,7 @@ TEST(SampleAndHold, TinyThresholdCapsProbabilityAtOne) {
   config.oversampling = 100.0;
   SampleAndHold device(config);
   EXPECT_DOUBLE_EQ(device.sampling_probability(), 1.0);
-  device.observe(key(1), 100);
+  observe_one(device, key(1), 100);
   const Report report = device.end_interval();
   EXPECT_NE(find_flow(report, key(1)), nullptr);  // p=1 catches everything
 }
@@ -113,7 +116,7 @@ TEST(SampleAndHold, MemoryFullDropsSamples) {
   config.threshold = 1000;  // p = 0.02: lots of samples
   SampleAndHold device(config);
   for (std::uint32_t i = 0; i < 2000; ++i) {
-    device.observe(key(i), 1000);
+    observe_one(device, key(i), 1000);
   }
   const Report report = device.end_interval();
   EXPECT_EQ(report.flows.size(), 4u);

@@ -15,6 +15,8 @@
 #include "core/multistage_filter.hpp"
 #include "core/sample_and_hold.hpp"
 
+using nd::testing::observe_one;
+
 namespace nd::core {
 namespace {
 
@@ -90,8 +92,8 @@ TEST(ShardedDevice, OneShardObserveMatchesUnshardedToo) {
       classify_trace(small_trace(), packet::FlowDefinition::five_tuple());
   for (const auto& interval : intervals) {
     for (const auto& packet : interval) {
-      sharded.observe(packet.key, packet.bytes);
-      unsharded.observe(packet.key, packet.bytes);
+      observe_one(sharded, packet.key, packet.bytes);
+      observe_one(unsharded, packet.key, packet.bytes);
     }
     expect_reports_equal(sharded.end_interval(), unsharded.end_interval());
   }
@@ -152,7 +154,7 @@ TEST(ShardedDevice, ObserveAndBatchAgree) {
       classify_trace(small_trace(), packet::FlowDefinition::five_tuple());
   for (const auto& interval : intervals) {
     for (const auto& packet : interval) {
-      scalar.observe(packet.key, packet.bytes);
+      observe_one(scalar, packet.key, packet.bytes);
     }
     batched.observe_batch(interval);
     expect_reports_equal(scalar.end_interval(), batched.end_interval());
@@ -161,7 +163,7 @@ TEST(ShardedDevice, ObserveAndBatchAgree) {
 
 TEST(ShardedDevice, PooledBatchMatchesInlineObserve) {
   // The two ends of the contract in one run: the pooled batch fan-out
-  // against the inline per-packet path.
+  // against the inline device fed batches of one packet.
   ShardedDeviceConfig config;
   config.shards = 4;
   config.seed = 9;
@@ -174,7 +176,7 @@ TEST(ShardedDevice, PooledBatchMatchesInlineObserve) {
        classify_trace(small_trace(), packet::FlowDefinition::five_tuple())) {
     batched.observe_batch(interval);
     for (const auto& packet : interval) {
-      scalar.observe(packet.key, packet.bytes);
+      observe_one(scalar, packet.key, packet.bytes);
     }
     expect_reports_equal(batched.end_interval(), scalar.end_interval());
   }
@@ -190,6 +192,9 @@ TEST(ShardedDevice, RoutingIsStableAndCoversAllShards) {
     const std::uint32_t shard = device.shard_of(fp);
     ASSERT_LT(shard, device.shard_count());
     EXPECT_EQ(shard, device.shard_of(fp));  // stable per fingerprint
+    // The fleet's routing function: a FleetSliceDevice member owns
+    // exactly the flows this shard does.
+    EXPECT_EQ(shard, shard_route(config.seed, config.shards, fp));
     seen.insert(shard);
   }
   EXPECT_EQ(seen.size(), 8u);  // 4096 flows must touch every shard

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include "../support/report_testing.hpp"
 #include "core/adaptive_device.hpp"
 #include "core/sample_and_hold.hpp"
+
+using nd::testing::observe_one;
 
 namespace nd::core {
 namespace {
@@ -111,7 +114,7 @@ TEST(AdaptiveDevice, ConvergesTowardTargetUsage) {
   double last_usage = 0.0;
   for (int interval = 0; interval < 30; ++interval) {
     for (std::uint32_t f = 0; f < 2000; ++f) {
-      device.observe(packet::FlowKey::destination_ip(f), 1000);
+      observe_one(device, packet::FlowKey::destination_ip(f), 1000);
     }
     const Report report = device.end_interval();
     last_usage = static_cast<double>(report.entries_used) / 200.0;

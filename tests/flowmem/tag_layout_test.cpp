@@ -19,6 +19,8 @@
 #include "hash/hash.hpp"
 #include "trace/presets.hpp"
 
+using nd::testing::observe_one;
+
 namespace nd::flowmem {
 namespace {
 
@@ -344,7 +346,7 @@ void expect_scalar_and_batched_reports_identical(
   auto batched = make_device();
   for (const auto& interval : intervals) {
     for (const auto& packet : interval) {
-      scalar->observe(packet.key, packet.bytes);
+      observe_one(*scalar, packet.key, packet.bytes);
     }
     batched->observe_batch(interval);
     nd::testing::expect_reports_equal(scalar->end_interval(),
@@ -354,8 +356,9 @@ void expect_scalar_and_batched_reports_identical(
 
 TEST(TagLayout, ScalarAndBatchedReportsIdenticalOnPresets) {
   // The distance-k tag prefetch pipeline is hints only: on each scaled
-  // Table 3 preset, per-packet observe and the prefetching observe_batch
-  // must produce bit-identical interval reports for both devices.
+  // Table 3 preset, batches of one packet and the prefetching
+  // whole-interval observe_batch must produce bit-identical interval
+  // reports for both devices.
   const auto presets = {trace::scaled(trace::Presets::mag(3), 0.02),
                         trace::scaled(trace::Presets::ind(3), 0.05),
                         trace::scaled(trace::Presets::cos(3), 0.25)};

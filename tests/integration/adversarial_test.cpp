@@ -2,8 +2,11 @@
 // unlucky network) would choose.
 #include <gtest/gtest.h>
 
+#include "../support/report_testing.hpp"
 #include "core/multistage_filter.hpp"
 #include "core/sample_and_hold.hpp"
+
+using nd::testing::observe_one;
 
 namespace nd {
 namespace {
@@ -24,7 +27,7 @@ TEST(Adversarial, ElephantDisguisedAsMinimumPackets) {
   config.seed = 3;
   core::MultistageFilter device(config);
   for (int i = 0; i < 2500; ++i) {
-    device.observe(key(1), 40);  // 100 KB total
+    observe_one(device, key(1), 40);  // 100 KB total
   }
   const auto report = device.end_interval();
   ASSERT_NE(core::find_flow(report, key(1)), nullptr);
@@ -44,7 +47,7 @@ TEST(Adversarial, SmurfAttackManyMiceOneCounterSet) {
   core::MultistageFilter device(config);
   // 20,000 mice x 1.5 KB = 30 MB; k = T*b/C ~ 13.6.
   for (std::uint32_t m = 0; m < 20'000; ++m) {
-    device.observe(key(m), 1500);
+    observe_one(device, key(m), 1500);
   }
   const auto report = device.end_interval();
   EXPECT_LT(report.flows.size(), 20u);  // << 20,000 mice
@@ -60,10 +63,10 @@ TEST(Adversarial, FlowStraddlingIntervalBoundaryWithoutPreserve) {
   config.threshold = 10'000;
   config.seed = 5;
   core::MultistageFilter device(config);
-  device.observe(key(1), 9'999);
+  observe_one(device, key(1), 9'999);
   const auto first = device.end_interval();
   EXPECT_EQ(core::find_flow(first, key(1)), nullptr);
-  device.observe(key(1), 9'999);
+  observe_one(device, key(1), 9'999);
   const auto second = device.end_interval();
   EXPECT_EQ(core::find_flow(second, key(1)), nullptr);
 }
@@ -78,7 +81,7 @@ TEST(Adversarial, ExactThresholdPacketPasses) {
   config.threshold = 1500;
   config.seed = 7;
   core::MultistageFilter device(config);
-  device.observe(key(1), 1500);
+  observe_one(device, key(1), 1500);
   const auto report = device.end_interval();
   EXPECT_NE(core::find_flow(report, key(1)), nullptr);
 }
@@ -91,7 +94,7 @@ TEST(Adversarial, OneByteBelowThresholdDoesNotPass) {
   config.threshold = 1500;
   config.seed = 7;
   core::MultistageFilter device(config);
-  device.observe(key(1), 1499);
+  observe_one(device, key(1), 1499);
   const auto report = device.end_interval();
   EXPECT_EQ(core::find_flow(report, key(1)), nullptr);
 }
@@ -103,9 +106,9 @@ TEST(Adversarial, SampleAndHoldSurvivesPathologicalSizes) {
   config.oversampling = 4.0;
   config.seed = 9;
   core::SampleAndHold device(config);
-  device.observe(key(1), 0);           // zero-size packet
-  device.observe(key(2), 1);           // one byte
-  device.observe(key(3), 0xFFFFFFFF);  // absurd jumbo
+  observe_one(device, key(1), 0);           // zero-size packet
+  observe_one(device, key(2), 1);           // one byte
+  observe_one(device, key(3), 0xFFFFFFFF);  // absurd jumbo
   const auto report = device.end_interval();
   // The jumbo flow is sampled with probability ~1 and reported whole.
   const auto* jumbo = core::find_flow(report, key(3));
@@ -121,8 +124,8 @@ TEST(Adversarial, FilterSurvivesPathologicalSizes) {
   config.threshold = 1000;
   config.seed = 13;
   core::MultistageFilter device(config);
-  device.observe(key(1), 0);
-  device.observe(key(2), 0xFFFFFFFF);
+  observe_one(device, key(1), 0);
+  observe_one(device, key(2), 0xFFFFFFFF);
   const auto report = device.end_interval();
   EXPECT_EQ(core::find_flow(report, key(1)), nullptr);  // 0 bytes < T
   EXPECT_NE(core::find_flow(report, key(2)), nullptr);
@@ -146,7 +149,7 @@ TEST(Adversarial, RepeatedIdenticalPacketsFromManyFlowsSameSize) {
     while (remaining > 0) {
       const auto size = static_cast<std::uint32_t>(
           std::min<common::ByteCount>(1496, remaining));
-      device.observe(key(f), size);
+      observe_one(device, key(f), size);
       remaining -= size;
     }
   }
@@ -166,7 +169,7 @@ TEST(Adversarial, ThresholdOneTracksEverything) {
   config.seed = 19;
   core::MultistageFilter device(config);
   for (std::uint32_t f = 0; f < 100; ++f) {
-    device.observe(key(f), 40);
+    observe_one(device, key(f), 40);
   }
   const auto report = device.end_interval();
   EXPECT_EQ(report.flows.size(), 100u);

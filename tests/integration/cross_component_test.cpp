@@ -4,6 +4,7 @@
 
 #include <memory>
 
+#include "../support/report_testing.hpp"
 #include "baseline/exact_oracle.hpp"
 #include "core/measurement_session.hpp"
 #include "core/multistage_filter.hpp"
@@ -13,6 +14,8 @@
 #include "reporting/record_codec.hpp"
 #include "trace/presets.hpp"
 #include "trace/stats.hpp"
+
+using nd::testing::observe_one;
 
 namespace nd {
 namespace {
@@ -45,8 +48,8 @@ TEST(CrossComponent, SerialEqualsParallelAtDepthOne) {
   const auto definition = packet::FlowDefinition::five_tuple();
   for (const auto& packet : packets) {
     const auto key = *definition.classify(packet);
-    parallel.observe(key, packet.size_bytes);
-    serial.observe(key, packet.size_bytes);
+    observe_one(parallel, key, packet.size_bytes);
+    observe_one(serial, key, packet.size_bytes);
   }
   auto pr = parallel.end_interval();
   auto sr = serial.end_interval();
@@ -70,8 +73,8 @@ TEST(CrossComponent, AggregatedOracleMatchesNativeDefinition) {
   const auto def5 = packet::FlowDefinition::five_tuple();
   const auto defd = packet::FlowDefinition::destination_ip();
   for (const auto& packet : packets) {
-    five_tuple_oracle.observe(*def5.classify(packet), packet.size_bytes);
-    dst_oracle.observe(*defd.classify(packet), packet.size_bytes);
+    observe_one(five_tuple_oracle, *def5.classify(packet), packet.size_bytes);
+    observe_one(dst_oracle, *defd.classify(packet), packet.size_bytes);
   }
   const auto aggregated = reporting::aggregate_to_destination_ip(
       five_tuple_oracle.end_interval());
@@ -103,7 +106,7 @@ TEST(CrossComponent, SessionOverPcapMatchesDirectDrive) {
   std::vector<core::Report> direct_reports;
   for (const auto& interval : intervals) {
     for (const auto& packet : interval) {
-      direct.observe(*definition.classify(packet), packet.size_bytes);
+      observe_one(direct, *definition.classify(packet), packet.size_bytes);
     }
     direct_reports.push_back(direct.end_interval());
   }
@@ -158,7 +161,7 @@ TEST(CrossComponent, CodecRoundTripPreservesMetrics) {
   eval::TruthMap truth;
   for (const auto& packet : packets) {
     const auto key = *definition.classify(packet);
-    oracle.observe(key, packet.size_bytes);
+    observe_one(oracle, key, packet.size_bytes);
     truth[key] += packet.size_bytes;
   }
   const auto report = oracle.end_interval();

@@ -1,6 +1,6 @@
 // The loopback integration suite: M in-process device threads, each a
-// FleetMember shipping interval reports through a real ResilientChannel
-// + TcpTransport over 127.0.0.1, against one collector daemon. The
+// FleetSliceDevice shipping interval reports through a real
+// ResilientChannel + TcpTransport over 127.0.0.1, against one collector daemon. The
 // acceptance bar is the collapse-the-distributed-system guarantee: the
 // collector's fleet merge is bit-identical to a single-process
 // ShardedDevice with the same shard count, seed, and factory — and it
@@ -77,14 +77,14 @@ std::vector<core::Report> sharded_reference(
   return reports;
 }
 
-/// One device thread: a FleetMember over the full stream, shipping each
-/// interval through ResilientChannel + TcpTransport. `faults` may carry
-/// a per-member chaos plan (null = clean run).
+/// One device thread: a FleetSliceDevice over the full stream, shipping
+/// each interval through ResilientChannel + TcpTransport. `faults` may
+/// carry a per-member chaos plan (null = clean run).
 void run_member(std::uint32_t member, std::uint16_t port,
                 const std::vector<std::vector<packet::ClassifiedPacket>>&
                     intervals,
                 robustness::FaultInjector* faults) {
-  FleetMember fleet_member(
+  FleetSliceDevice fleet_member(
       member, kFleetSize, kSeed,
       std::make_unique<core::MultistageFilter>(
           filter_config(core::shard_seed(kSeed, member))));
@@ -196,7 +196,7 @@ std::string http_get(std::uint16_t port, const std::string& path) {
 void run_member_with_metrics(
     std::uint32_t member, std::uint16_t port,
     const std::vector<std::vector<packet::ClassifiedPacket>>& intervals) {
-  FleetMember fleet_member(
+  FleetSliceDevice fleet_member(
       member, kFleetSize, kSeed,
       std::make_unique<core::MultistageFilter>(
           filter_config(core::shard_seed(kSeed, member))));
@@ -360,7 +360,7 @@ TEST(LoopbackFleet, DegradedShardFlipsHealthzSticky) {
   const auto intervals = classify_trace(
       fleet_trace(), packet::FlowDefinition::five_tuple());
   std::thread member([port = collector.port(), &intervals] {
-    FleetMember fleet_member(
+    FleetSliceDevice fleet_member(
         0, 1, kSeed,
         std::make_unique<core::MultistageFilter>(
             filter_config(core::shard_seed(kSeed, 0))));

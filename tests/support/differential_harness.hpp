@@ -3,8 +3,8 @@
 // Replays identical synthesized traces through the four device
 // configurations the pipeline supports —
 //
-//   kScalar          per-packet observe() on the unsharded device
-//   kBatched         observe_batch() on the unsharded device
+//   kScalar          the unsharded device fed batches of one packet
+//   kBatched         the unsharded device fed whole intervals
 //   kShardedUniform  ShardedDevice, one fixed threshold everywhere
 //   kShardedAdaptive ShardedDevice, a private ThresholdAdaptor per shard
 //
@@ -131,8 +131,8 @@ inline std::unique_ptr<core::MeasurementDevice> make_device(
       });
 }
 
-/// Replay the whole trace; kScalar feeds packets one at a time, every
-/// other mode uses the batched fast path.
+/// Replay the whole trace; kScalar feeds batches of one packet, every
+/// other mode one batch per interval.
 inline std::vector<core::Report> replay(core::MeasurementDevice& device,
                                         const DifferentialTrace& trace,
                                         bool per_packet) {
@@ -141,7 +141,7 @@ inline std::vector<core::Report> replay(core::MeasurementDevice& device,
   for (const auto& interval : trace.intervals) {
     if (per_packet) {
       for (const auto& packet : interval) {
-        device.observe(packet.key, packet.bytes);
+        device.observe_batch({&packet, 1});
       }
     } else {
       device.observe_batch(interval);

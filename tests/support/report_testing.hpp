@@ -1,5 +1,6 @@
-// Shared helpers for the batch/shard equivalence tests: build classified
-// streams from the synthesizer and compare device reports bit-for-bit.
+// Shared helpers for the device tests: feed single packets, build
+// classified streams from the synthesizer and compare device reports
+// bit-for-bit.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -12,6 +13,14 @@
 #include "trace/synthesizer.hpp"
 
 namespace nd::testing {
+
+/// Feed one packet as a batch of one: how a test steps a device packet
+/// by packet through the batch-only device interface.
+inline void observe_one(core::MeasurementDevice& device,
+                        const packet::FlowKey& key, std::uint32_t bytes) {
+  const auto packet = packet::ClassifiedPacket::from(key, bytes);
+  device.observe_batch({&packet, 1});
+}
 
 /// Classify one synthesized interval with `definition` (packets failing
 /// the pattern are dropped, exactly like eval::Driver does).

@@ -22,6 +22,8 @@
 #include "telemetry/metrics.hpp"
 #include "trace/presets.hpp"
 
+using nd::testing::observe_one;
+
 namespace nd::telemetry {
 namespace {
 
@@ -68,7 +70,7 @@ TEST(DeviceInstruments, SampleAndHoldCountersMatchBehavior) {
   for (const auto& interval :
        classify_trace(small_trace(), packet::FlowDefinition::five_tuple())) {
     for (const auto& packet : interval) {
-      device.observe(packet.key, packet.bytes);
+      observe_one(device, packet.key, packet.bytes);
       ++packets;
       bytes += packet.bytes;
     }

@@ -13,6 +13,8 @@
 //       and print (and optionally export) the heavy hitters per
 //       interval. Algorithms: sample-and-hold, multistage, netflow.
 //       Flow definitions: 5tuple, dstip, netpair:<prefixlen>.
+//       --interval is whole seconds in 1..9223372036 (the int64
+//       nanosecond clock's range); --shards must be at least 1.
 //       --shards N > 1 partitions the flow space RSS-style across N
 //       replicas of the device running on a worker pool; --threshold is
 //       only the starting point, not a fixed global value. With
@@ -194,6 +196,7 @@
 #include <exception>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -304,6 +307,20 @@ class Args {
     const auto value = parse_decimal(it->second);
     if (!value) bad_value(key, "a non-negative decimal integer");
     return *value;
+  }
+  /// get_u64 restricted to [min, max]; a value outside exits 2 naming
+  /// the flag instead of being clamped or wrapped.
+  [[nodiscard]] std::uint64_t get_u64_in(const std::string& key,
+                                         std::uint64_t fallback,
+                                         std::uint64_t min,
+                                         std::uint64_t max) const {
+    const std::uint64_t value = get_u64(key, fallback);
+    if (has(key) && (value < min || value > max)) {
+      const std::string expected =
+          "an integer in " + std::to_string(min) + ".." + std::to_string(max);
+      bad_value(key, expected.c_str());
+    }
+    return value;
   }
   [[nodiscard]] bool has(const std::string& key) const {
     return values_.count(key) > 0;
@@ -575,9 +592,8 @@ int cmd_measure(const Args& args) {
   const std::string algorithm = args.get("algorithm", "multistage");
   const std::size_t entries = args.get_u64("entries", 4096);
   const std::uint64_t seed = args.get_u64("seed", 1);
-  const auto shards =
-      static_cast<std::uint32_t>(std::max<std::uint64_t>(
-          args.get_u64("shards", 1), 1));
+  const auto shards = static_cast<std::uint32_t>(args.get_u64_in(
+      "shards", 1, 1, std::numeric_limits<std::uint32_t>::max()));
   const bool adaptive = args.get_u64("adaptive", 0) != 0;
   const bool shard_usage_dump = args.get_u64("shard-usage", 0) != 0;
   if (adaptive && algorithm == "netflow") {
@@ -775,8 +791,12 @@ int cmd_measure(const Args& args) {
                                                       adaptor_config);
     }
   }
+  // The session clock counts int64 nanoseconds: the largest interval is
+  // the largest whole-second count that still fits.
   const auto interval = std::chrono::seconds(
-      static_cast<long>(args.get_u64("interval", 5)));
+      static_cast<std::chrono::seconds::rep>(args.get_u64_in(
+          "interval", 5, 1,
+          std::numeric_limits<std::int64_t>::max() / 1'000'000'000)));
   const packet::FlowKeyKind key_kind = definition.kind();
 
   // --resume: when the checkpoint file exists, restore the session

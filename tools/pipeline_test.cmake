@@ -80,10 +80,13 @@ endif()
 # Strict numeric flags: a value that does not parse whole — or a bare
 # numeric flag — exits 2 naming the flag, instead of running with a
 # misread number (`--threshold 1e6` used to run with threshold 1,
-# `--shards abc` unsharded, `netpair:abc` with prefix length 0).
+# `--shards abc` unsharded, `netpair:abc` with prefix length 0). The
+# TIMEOUT turns a run that never rejects its flag into a failure
+# instead of a hung suite.
 function(expect_bad_flag flag)
   execute_process(
     COMMAND ${NDTM} ${ARGN}
+    TIMEOUT 60
     RESULT_VARIABLE rv OUTPUT_QUIET ERROR_VARIABLE err)
   if(NOT rv EQUAL 2)
     message(FATAL_ERROR "'${ARGN}' should exit 2, got ${rv}")
@@ -101,6 +104,15 @@ expect_bad_flag(--threshold measure --in ${WORKDIR}/smoke.pcap --threshold)
 expect_bad_flag(--entries measure --in ${WORKDIR}/smoke.pcap --entries -5)
 expect_bad_flag(--scale
                 synthesize --scale 0.1x --out ${WORKDIR}/never.pcap)
+# Out-of-range counts exit 2 too. A run with --interval 0, or with
+# 9223372037 s (past the int64 nanosecond clock), would close an
+# interval per nanosecond of the capture's span — one that never
+# finishes and ignores SIGTERM between batches; --shards 0 would run
+# unsharded.
+expect_bad_flag(--interval measure --in ${WORKDIR}/smoke.pcap --interval 0)
+expect_bad_flag(--interval
+                measure --in ${WORKDIR}/smoke.pcap --interval 9223372037)
+expect_bad_flag(--shards measure --in ${WORKDIR}/smoke.pcap --shards 0)
 # Unknown flags exit 2 naming the flag instead of being dropped: a typo
 # for --shards used to run unsharded, and --pin is gone.
 expect_bad_flag(--shard measure --in ${WORKDIR}/smoke.pcap --shard 3)

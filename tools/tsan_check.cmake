@@ -8,6 +8,9 @@
 #
 #   cmake --build build --target tsan_check
 #
+# Every nested build configures with -DND_WERROR=ON, so a new compiler
+# warning — in the sanitized builds too — fails this target.
+#
 # Expects -DSOURCE_DIR=<repo root> -DBUILD_DIR=<scratch build dir>.
 if(NOT DEFINED SOURCE_DIR OR NOT DEFINED BUILD_DIR)
   message(FATAL_ERROR "tsan_check.cmake needs -DSOURCE_DIR and -DBUILD_DIR")
@@ -40,6 +43,7 @@ function(run_sanitized sanitizer subdir regex)
   execute_process(
     COMMAND ${CMAKE_COMMAND} -S ${SOURCE_DIR} -B ${san_build}
             -DND_SANITIZE=${sanitizer} -DCMAKE_BUILD_TYPE=RelWithDebInfo
+            -DND_WERROR=ON
     RESULT_VARIABLE rv)
   if(NOT rv EQUAL 0)
     message(FATAL_ERROR "tsan_check[${sanitizer}]: configure failed: ${rv}")
@@ -106,6 +110,7 @@ set(nosimd_build ${BUILD_DIR}/nosimd-check)
 execute_process(
   COMMAND ${CMAKE_COMMAND} -S ${SOURCE_DIR} -B ${nosimd_build}
           -DND_DISABLE_SIMD=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo
+          -DND_WERROR=ON
   RESULT_VARIABLE rv)
 if(NOT rv EQUAL 0)
   message(FATAL_ERROR "tsan_check[nosimd]: configure failed: ${rv}")
