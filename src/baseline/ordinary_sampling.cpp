@@ -47,6 +47,7 @@ core::Report OrdinarySampling::end_interval() {
   report.interval = interval_;
   report.entries_used = memory_.entries_used();
   const double scale = 1.0 / config_.byte_sampling_probability;
+  report.flows.reserve(report.entries_used);
   memory_.for_each([&](const flowmem::FlowEntry& entry) {
     report.flows.push_back(core::ReportedFlow{
         entry.key,

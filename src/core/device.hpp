@@ -76,6 +76,10 @@ struct Report {
 /// Sort a report's flows by descending estimated size (stable for ties).
 void sort_by_size(Report& report);
 
+/// True when the flows are already in sort_by_size order; sort_by_size
+/// is then the identity (a stable sort does not move sorted input).
+[[nodiscard]] bool is_sorted_by_size(const Report& report);
+
 /// Find a flow in a report; nullptr when absent.
 [[nodiscard]] const ReportedFlow* find_flow(const Report& report,
                                             const packet::FlowKey& key);

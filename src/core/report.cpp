@@ -4,11 +4,21 @@
 
 namespace nd::core {
 
+namespace {
+
+/// The one order sort_by_size establishes and is_sorted_by_size checks.
+bool larger(const ReportedFlow& a, const ReportedFlow& b) {
+  return a.estimated_bytes > b.estimated_bytes;
+}
+
+}  // namespace
+
 void sort_by_size(Report& report) {
-  std::stable_sort(report.flows.begin(), report.flows.end(),
-                   [](const ReportedFlow& a, const ReportedFlow& b) {
-                     return a.estimated_bytes > b.estimated_bytes;
-                   });
+  std::stable_sort(report.flows.begin(), report.flows.end(), larger);
+}
+
+bool is_sorted_by_size(const Report& report) {
+  return std::is_sorted(report.flows.begin(), report.flows.end(), larger);
 }
 
 const ReportedFlow* find_flow(const Report& report,

@@ -90,10 +90,12 @@ void FlowMemory::clear_tags() {
 void FlowMemory::end_interval(const EndIntervalPolicy& policy) {
   // Collect survivors, then rebuild the table. A rebuild once per
   // interval keeps the open-addressing invariant (no holes inside probe
-  // chains) without tombstones on the per-packet fast path.
+  // chains) without tombstones on the per-packet fast path. The sweep
+  // visits occupied slots only and resets each one as it leaves it, so
+  // empty payload lines are neither read nor rewritten.
   std::vector<FlowEntry> survivors;
-  for (const FlowEntry& entry : slots_) {
-    if (!entry.occupied) continue;
+  for_each_occupied_slot([&](std::size_t slot) {
+    FlowEntry& entry = slots_[slot];
     bool keep = false;
     switch (policy.policy) {
       case PreservePolicy::kClear:
@@ -110,9 +112,8 @@ void FlowMemory::end_interval(const EndIntervalPolicy& policy) {
         break;
     }
     if (keep) survivors.push_back(entry);
-  }
-
-  std::fill(slots_.begin(), slots_.end(), FlowEntry{});
+    entry = FlowEntry{};
+  });
   clear_tags();
   used_ = 0;
   for (FlowEntry survivor : survivors) {
@@ -136,14 +137,11 @@ void FlowMemory::save_state(common::StateWriter& out) const {
   out.put_u64(static_cast<std::uint64_t>(used_));
   out.put_u64(static_cast<std::uint64_t>(high_water_));
   out.put_u64(accesses_);
-  std::uint64_t occupied = 0;
-  for (const FlowEntry& entry : slots_) {
-    if (entry.occupied) ++occupied;
-  }
-  out.put_u64(occupied);
-  for (std::size_t slot = 0; slot < slots_.size(); ++slot) {
+  // The occupied-slot count: every insert and rebuild keeps used_ equal
+  // to the number of live tags (restore_state checks the two agree).
+  out.put_u64(static_cast<std::uint64_t>(used_));
+  for_each_occupied_slot([&](std::size_t slot) {
     const FlowEntry& entry = slots_[slot];
-    if (!entry.occupied) continue;
     out.put_u64(static_cast<std::uint64_t>(slot));
     packet::save_flow_key(out, entry.key);
     out.put_u64(entry.bytes_current);
@@ -152,7 +150,7 @@ void FlowMemory::save_state(common::StateWriter& out) const {
     out.put_u8(static_cast<std::uint8_t>(
         (entry.created_this_interval ? 1U : 0U) |
         (entry.exact_this_interval ? 2U : 0U)));
-  }
+  });
 }
 
 void FlowMemory::restore_state(common::StateReader& in) {
@@ -167,7 +165,8 @@ void FlowMemory::restore_state(common::StateReader& in) {
   if (used > capacity_ || occupied != used) {
     throw common::StateError("flow memory: inconsistent checkpoint counts");
   }
-  std::fill(slots_.begin(), slots_.end(), FlowEntry{});
+  for_each_occupied_slot(
+      [&](std::size_t slot) { slots_[slot] = FlowEntry{}; });
   clear_tags();
   for (std::uint64_t i = 0; i < occupied; ++i) {
     const std::uint64_t slot = in.u64();
@@ -175,7 +174,7 @@ void FlowMemory::restore_state(common::StateReader& in) {
       throw common::StateError("flow memory: checkpoint slot out of range");
     }
     FlowEntry& entry = slots_[slot];
-    if (entry.occupied) {
+    if (tags_[slot] != 0) {
       throw common::StateError("flow memory: duplicate checkpoint slot");
     }
     entry.key = packet::load_flow_key(in);
@@ -195,13 +194,6 @@ void FlowMemory::restore_state(common::StateReader& in) {
   used_ = static_cast<std::size_t>(used);
   high_water_ = static_cast<std::size_t>(high_water);
   accesses_ = accesses;
-}
-
-void FlowMemory::for_each(
-    const std::function<void(const FlowEntry&)>& visit) const {
-  for (const FlowEntry& entry : slots_) {
-    if (entry.occupied) visit(entry);
-  }
 }
 
 }  // namespace nd::flowmem

@@ -25,10 +25,17 @@
 // Slot placement and probe order are bit-identical to the classic
 // linear-probing layout (first empty slot from the home index), so
 // checkpoints, reports and memory-access counts are unchanged.
+//
+// The cold walks — the end-of-interval report (for_each), the §3.3.1
+// preserve/early-removal sweep and rebuild (end_interval) and the
+// checkpoint (save_state) — read the tag array 8 lanes per word and
+// touch payload lines of occupied slots only, so an interval close
+// costs O(entries held) payload traffic, not O(table size), matching
+// the paper's model of a device that reports the entries it holds.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <functional>
 
 #include "common/cpu_features.hpp"
 #include "common/hugepage.hpp"
@@ -43,8 +50,8 @@ namespace nd::flowmem {
 
 /// One payload slot, aligned so a probe that does touch a payload
 /// touches exactly one cache line. `occupied` is kept redundantly with
-/// the tag array for cold-path visitors (for_each, save_state) and
-/// external tests; the hot probe path never reads it.
+/// the tag array for the CAM model and external tests; FlowMemory
+/// itself reads occupancy from the tags only.
 struct alignas(64) FlowEntry {
   packet::FlowKey key;
   /// Bytes counted during the current measurement interval.
@@ -235,8 +242,12 @@ class FlowMemory {
   /// bytes_current zeroed and become exact for the next interval.
   void end_interval(const EndIntervalPolicy& policy);
 
-  /// Visit every occupied entry (order unspecified).
-  void for_each(const std::function<void(const FlowEntry&)>& visit) const;
+  /// Visit every occupied entry, in ascending slot order.
+  template <typename Visit>
+  void for_each(Visit&& visit) const {
+    for_each_occupied_slot(
+        [&](std::size_t slot) { visit(slots_[slot]); });
+  }
 
   [[nodiscard]] std::size_t entries_used() const { return used_; }
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
@@ -278,6 +289,29 @@ class FlowMemory {
   [[nodiscard]] std::size_t probe_empty(std::size_t slot) const;
   /// Zero every tag (including the mirror).
   void clear_tags();
+  /// Call `visit(slot)` for every occupied slot in ascending slot order,
+  /// reading the tag array a group at a time: the live lanes of a group
+  /// are exactly its high bits (occupied tags are 0x80 | bits, empty
+  /// ones 0). The mirror pad is never visited; the slot count is a
+  /// power of two >= kTagGroupWidth, so groups tile it exactly.
+  template <typename Visit>
+  void for_each_occupied_slot(Visit&& visit) const {
+    const std::uint8_t* tags = tags_.data();
+    const std::size_t slots = slots_.size();
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
+    for (std::size_t base = 0; base < slots; base += kTagGroupWidth) {
+      std::uint64_t live = load_group(tags, base) & kLaneHighBits;
+      while (live != 0) {
+        visit(base + first_lane(live));
+        live &= live - 1;
+      }
+    }
+#else
+    for (std::size_t slot = 0; slot < slots; ++slot) {
+      if (tags[slot] != 0) visit(slot);
+    }
+#endif
+  }
 
   /// Payload and tag arrays live in Slabs so `ndtm measure --hugepages`
   /// (or ND_HUGEPAGES=1) backs them with 2 MB pages at

@@ -46,6 +46,11 @@ inline constexpr std::size_t kTagGroupWidth = 8;
   return static_cast<std::uint8_t>(0x80U | (hash >> 57));
 }
 
+/// High bit of every byte lane; the occupied lanes of a tag group are
+/// exactly `group & kLaneHighBits`, since every occupied tag has bit 7
+/// set and an empty one is 0 (no borrow caveat: nothing is subtracted).
+inline constexpr std::uint64_t kLaneHighBits = 0x8080808080808080ULL;
+
 [[nodiscard]] inline constexpr std::uint64_t broadcast_byte(
     std::uint8_t byte) {
   return 0x0101010101010101ULL * byte;
@@ -54,7 +59,7 @@ inline constexpr std::size_t kTagGroupWidth = 8;
 /// High bit of every byte lane whose value is 0 (subject to the borrow
 /// caveat above: the lowest marked lane is exact).
 [[nodiscard]] inline constexpr std::uint64_t zero_lanes(std::uint64_t word) {
-  return (word - 0x0101010101010101ULL) & ~word & 0x8080808080808080ULL;
+  return (word - 0x0101010101010101ULL) & ~word & kLaneHighBits;
 }
 
 /// High bit of every byte lane equal to `byte` (same caveat; callers

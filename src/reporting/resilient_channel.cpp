@@ -1,6 +1,7 @@
 #include "reporting/resilient_channel.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 namespace nd::reporting {
@@ -72,9 +73,15 @@ DeliveryOutcome ResilientChannel::send(const core::Report& report,
       "attempts");
   // Largest-first shedding: the channel truncates to a prefix, so
   // sorting by descending size guarantees whatever survives the budget
-  // is exactly the top-K heavy hitters.
-  core::Report ordered = report;
-  core::sort_by_size(ordered);
+  // is exactly the top-K heavy hitters. A report already in that order
+  // (ndtm sorts before it prints) is sent as is: the stable sort of a
+  // copy would reproduce it byte for byte.
+  std::optional<core::Report> sorted;
+  if (!core::is_sorted_by_size(report)) {
+    sorted.emplace(report);
+    core::sort_by_size(*sorted);
+  }
+  const core::Report& ordered = sorted ? *sorted : report;
   const packet::FlowKeyKind kind = ordered.flows.empty()
                                        ? packet::FlowKeyKind::kFiveTuple
                                        : ordered.flows.front().key.kind();

@@ -1,12 +1,17 @@
 #include "telemetry/metrics.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <stdexcept>
 #include <thread>
 
 namespace nd::telemetry {
 
 namespace {
+
+/// How long snapshot() retries for a consistent generation before it
+/// settles for a possibly-torn read.
+constexpr std::chrono::milliseconds kSnapshotRetry{100};
 
 bool valid_metric_name(const std::string& name) {
   if (name.empty()) return false;
@@ -110,22 +115,30 @@ Snapshot MetricsRegistry::snapshot(std::uint64_t interval) const {
   Snapshot snapshot;
   snapshot.interval = interval;
   // Seqlock read side: retry while a guarded multi-instrument update is
-  // in flight (odd generation) or completed mid-read (generation moved).
-  // Bounded so a writer that died inside a guard can't hang snapshots;
-  // past the bound the possibly-torn read is returned — the next
-  // interval's snapshot self-heals.
+  // in flight (odd generation, yield so the writer can finish) or
+  // completed mid-read (generation moved: re-read at once — the writer
+  // has just left its window, so the gap before its next one is now).
+  // Yielding after a failed validation too was tried and tore more
+  // reads when threads outnumber cores: the reader gave its core away
+  // during exactly those gaps. Bounded by wall time rather than by
+  // attempts, so back-to-back update windows (a sanitizer's slowdown)
+  // cannot exhaust a spin budget, yet a writer that died inside a guard
+  // still can't hang a scrape; past the bound the possibly-torn read is
+  // returned — the next interval's snapshot self-heals.
+  const auto deadline = std::chrono::steady_clock::now() + kSnapshotRetry;
   bool read = false;
-  for (int attempt = 0; attempt < 1024; ++attempt) {
+  for (;;) {
     const std::uint64_t before =
         generation_.load(std::memory_order_acquire);
-    if ((before & 1) != 0) {
+    if ((before & 1) == 0) {
+      snapshot.samples.clear();
+      read_samples(snapshot);
+      read = true;
+      if (generation_.load(std::memory_order_acquire) == before) break;
+    } else {
       std::this_thread::yield();
-      continue;
     }
-    snapshot.samples.clear();
-    read_samples(snapshot);
-    read = true;
-    if (generation_.load(std::memory_order_acquire) == before) break;
+    if (std::chrono::steady_clock::now() >= deadline) break;
   }
   if (!read) read_samples(snapshot);  // wedged writer: torn beats empty
   std::sort(snapshot.samples.begin(), snapshot.samples.end(),

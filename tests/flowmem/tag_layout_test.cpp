@@ -6,6 +6,7 @@
 // and device reports on the paper's trace presets.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <random>
 #include <vector>
@@ -16,6 +17,7 @@
 #include "core/sample_and_hold.hpp"
 #include "flowmem/flow_memory.hpp"
 #include "flowmem/tag_probe.hpp"
+#include "flowmem/tag_probe_simd.hpp"
 #include "hash/hash.hpp"
 #include "trace/presets.hpp"
 
@@ -333,6 +335,202 @@ TEST(TagLayout, CheckpointRoundTripRebuildsTags) {
   common::StateWriter original;
   memory.save_state(original);
   EXPECT_EQ(resaved.bytes(), original.bytes());
+}
+
+// --- Tag-driven sweeps: report walk, close and checkpoint ----------------
+//
+// for_each, end_interval and save_state walk the tag array and touch
+// occupied payload lines only. These drive both tables through several
+// consecutive closes and, after every one, require the visit order (the
+// order reports list flows in) and the checkpoint bytes to equal the
+// reference's full-slab sweeps.
+
+std::vector<FlowEntry> walk(const FlowMemory& memory) {
+  std::vector<FlowEntry> visited;
+  memory.for_each([&](const FlowEntry& entry) { visited.push_back(entry); });
+  return visited;
+}
+
+std::vector<FlowEntry> walk(const ReferenceFlowMemory& reference) {
+  std::vector<FlowEntry> visited;
+  reference.for_each(
+      [&](const FlowEntry& entry) { visited.push_back(entry); });
+  return visited;
+}
+
+bool same_entry(const FlowEntry& a, const FlowEntry& b) {
+  return a.key == b.key && a.bytes_current == b.bytes_current &&
+         a.bytes_lifetime == b.bytes_lifetime &&
+         a.created_interval == b.created_interval &&
+         a.created_this_interval == b.created_this_interval &&
+         a.exact_this_interval == b.exact_this_interval;
+}
+
+void expect_same_walk(const FlowMemory& actual,
+                      const ReferenceFlowMemory& expected) {
+  const std::vector<FlowEntry> got = walk(actual);
+  const std::vector<FlowEntry> want = walk(expected);
+  ASSERT_EQ(got.size(), want.size());
+  ASSERT_EQ(got.size(), actual.entries_used());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_TRUE(same_entry(got[i], want[i]))
+        << "visit " << i << ": " << got[i].key.to_string() << " vs "
+        << want[i].key.to_string();
+  }
+}
+
+/// Traffic shape for drive_closes: each interval sends `packets`
+/// packets, half to `heavy` fixed keys (they cross the threshold and
+/// survive preserving closes) and half spread over a window of `window`
+/// pool keys that slides by `shift` per interval (new flows arrive, old
+/// ones go quiet and are evicted).
+struct CloseShape {
+  std::size_t capacity;
+  std::uint64_t seed;
+  std::size_t packets;
+  std::size_t heavy;
+  std::size_t window;
+  std::size_t shift;
+  int closes;
+};
+
+/// Drives a FlowMemory and the reference through `shape.closes`
+/// intervals over `pool` and compares walk order and checkpoint bytes
+/// before and after every close. `peak_occupancy` receives the largest
+/// occupancy (entries / capacity) seen at a close.
+void drive_closes(const CloseShape& shape, PreservePolicy policy,
+                  const std::vector<packet::FlowKey>& pool,
+                  double& peak_occupancy) {
+  FlowMemory memory(shape.capacity, shape.seed);
+  ReferenceFlowMemory reference(shape.capacity, shape.seed);
+  std::mt19937_64 rng(shape.seed * 7919 +
+                      static_cast<std::uint64_t>(policy));
+  std::uniform_int_distribution<std::size_t> heavy(0, shape.heavy - 1);
+  std::uniform_int_distribution<std::size_t> spread(0, shape.window - 1);
+  std::uniform_int_distribution<std::uint32_t> bytes(1, 2000);
+  const std::size_t light_keys = pool.size() - shape.heavy;
+  const EndIntervalPolicy end{policy, 30'000, 1'000};
+  peak_occupancy = 0.0;
+  for (int close = 0; close < shape.closes; ++close) {
+    const auto interval = static_cast<common::IntervalIndex>(close);
+    const std::size_t base = static_cast<std::size_t>(close) * shape.shift;
+    for (std::size_t p = 0; p < shape.packets; ++p) {
+      const packet::FlowKey& k =
+          p % 2 == 0 ? pool[heavy(rng)]
+                     : pool[shape.heavy + (base + spread(rng)) % light_keys];
+      FlowEntry* entry = memory.find(k);
+      FlowEntry* ref_entry = reference.find(k);
+      ASSERT_EQ(entry == nullptr, ref_entry == nullptr);
+      if (entry == nullptr) {
+        entry = memory.insert(k, interval);
+        ref_entry = reference.insert(k, interval);
+        ASSERT_EQ(entry == nullptr, ref_entry == nullptr);
+      }
+      if (entry != nullptr) {
+        const std::uint32_t b = bytes(rng);
+        FlowMemory::add_bytes(*entry, b);
+        FlowMemory::add_bytes(*ref_entry, b);
+      }
+    }
+    peak_occupancy = std::max(
+        peak_occupancy, static_cast<double>(memory.entries_used()) /
+                            static_cast<double>(shape.capacity));
+    expect_same_walk(memory, reference);  // what the report reads
+    memory.end_interval(end);
+    reference.end_interval(end);
+    expect_same_walk(memory, reference);
+    expect_same_state(memory, reference);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+std::vector<packet::FlowKey> key_pool(std::size_t count) {
+  std::vector<packet::FlowKey> pool;
+  pool.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    pool.push_back(key(static_cast<std::uint32_t>(i)));
+  }
+  return pool;
+}
+
+constexpr PreservePolicy kAllPolicies[] = {PreservePolicy::kClear,
+                                           PreservePolicy::kPreserve,
+                                           PreservePolicy::kEarlyRemoval};
+
+TEST(TagLayout, SparseLargeTableClosesMatchReference) {
+  // The operating point the tag walk exists for: large tables at about
+  // the occupancy a sharded sample-and-hold run reaches (~14%), where a
+  // full-slab sweep reads and rewrites mostly empty payload lines.
+  for (const std::size_t capacity :
+       {std::size_t{65'536}, std::size_t{196'608}}) {
+    const CloseShape shape{capacity,      41,           capacity / 4, 64,
+                           capacity / 12, capacity / 24, 6};
+    const std::vector<packet::FlowKey> pool = key_pool(capacity);
+    for (const PreservePolicy policy : kAllPolicies) {
+      SCOPED_TRACE(::testing::Message()
+                   << "capacity " << capacity << " policy "
+                   << static_cast<int>(policy));
+      double occupancy = 0.0;
+      drive_closes(shape, policy, pool, occupancy);
+      if (HasFatalFailure()) return;
+      EXPECT_GT(occupancy, 0.05);
+      EXPECT_LE(occupancy, 0.15);
+    }
+  }
+}
+
+TEST(TagLayout, WrappedChainClosesMatchReference) {
+  // Every key homes in the last tag group, so probe chains wrap past the
+  // last slot into slot 0 onward: the walk must still visit in
+  // ascending slot order (wrapped entries first) and the rebuild must
+  // re-wrap survivors exactly as the reference does.
+  const std::uint64_t seed = 13;
+  const std::size_t capacity = 64;
+  const std::size_t slots = 128;
+  const hash::HashFamily replica(seed);
+  std::vector<packet::FlowKey> pool;
+  for (std::uint32_t i = 0; pool.size() < 48 && i < 1'000'000; ++i) {
+    const std::size_t home =
+        static_cast<std::size_t>(replica.scramble(key(i).fingerprint())) &
+        (slots - 1);
+    if (home >= slots - kTagGroupWidth) pool.push_back(key(i));
+  }
+  ASSERT_EQ(pool.size(), 48U);
+  ReferenceFlowMemory probe(capacity, seed);
+  for (std::size_t i = 0; i < 12; ++i) {
+    ASSERT_NE(probe.insert(pool[i], 0), nullptr);
+  }
+  ASSERT_TRUE(probe.slot(0).occupied) << "chains did not wrap";
+  const CloseShape shape{capacity, seed, 400, 6, 20, 7, 6};
+  for (const PreservePolicy policy : kAllPolicies) {
+    SCOPED_TRACE(::testing::Message()
+                 << "policy " << static_cast<int>(policy));
+    double occupancy = 0.0;
+    drive_closes(shape, policy, pool, occupancy);
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(TagLayout, TablesSmallerThanTheMirrorPadCloseLikeReference) {
+  // 8- and 16-slot tables are smaller than the mirrored tag pad, so the
+  // head of the tag array is mirrored more than once past the end; the
+  // walk must visit each slot once and never the mirror. Traffic over
+  // many more keys than fit keeps the tables full (inserts refused).
+  static_assert(kTagMirrorPad > 16);
+  for (const std::size_t capacity :
+       {std::size_t{1}, std::size_t{4}, std::size_t{8}}) {
+    const CloseShape shape{capacity, 19 + capacity, 300, 2, 24, 5, 6};
+    const std::vector<packet::FlowKey> pool = key_pool(64);
+    for (const PreservePolicy policy : kAllPolicies) {
+      SCOPED_TRACE(::testing::Message() << "capacity " << capacity
+                                        << " policy "
+                                        << static_cast<int>(policy));
+      double occupancy = 0.0;
+      drive_closes(shape, policy, pool, occupancy);
+      if (HasFatalFailure()) return;
+      EXPECT_EQ(occupancy, 1.0);
+    }
+  }
 }
 
 // --- Device-level equivalence on the paper's presets -------------------

@@ -437,17 +437,20 @@ TEST(Collector, BurstDrainFairnessCapYieldsWithoutLoss) {
   config.expected_devices = 1;
   config.max_drain_bytes_per_wake = 16 * 1024;
   Collector collector(config);
-  collector.start();
 
+  // The listener is bound at construction, so the connection and the
+  // first two frames (~32 KiB, well inside loopback socket buffers)
+  // queue in the kernel before the collector thread runs: its first
+  // wake finds more than the cap waiting whatever the relative speed of
+  // reader and writer on the host.
   Socket conn = tcp_connect("127.0.0.1", collector.port());
   ASSERT_TRUE(conn.valid());
   ASSERT_TRUE(write_all(conn.fd(), encode_hello(Hello{21, 0})));
+  constexpr std::size_t kQueuedBeforeStart = 2;
   constexpr std::size_t kBurst = 64;
   for (std::size_t i = 0; i < kBurst; ++i) {
-    // ~16 KiB per frame, ~1 MiB total: the kernel queue far outruns
-    // the ingest buffer, so some wake must read it full and trip the
-    // cap (decode work on the single collector thread guarantees the
-    // writer gets ahead).
+    if (i == kQueuedBeforeStart) collector.start();
+    // ~16 KiB per frame, ~1 MiB total.
     ASSERT_TRUE(write_all(
         conn.fd(), framed(static_cast<common::IntervalIndex>(i), 600)));
   }

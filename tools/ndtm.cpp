@@ -322,6 +322,15 @@ class Args {
     }
     return value;
   }
+  /// get_u64_in for a flag stored in a narrower unsigned type T: the
+  /// range tops out at T's maximum, so a larger value exits 2 instead
+  /// of wrapping in the narrowing cast.
+  template <typename T>
+  [[nodiscard]] T get_in(const std::string& key, T fallback,
+                         T min = 0) const {
+    return static_cast<T>(
+        get_u64_in(key, fallback, min, std::numeric_limits<T>::max()));
+  }
   [[nodiscard]] bool has(const std::string& key) const {
     return values_.count(key) > 0;
   }
@@ -451,7 +460,7 @@ bool write_trace_file(const std::string& path,
 std::unique_ptr<telemetry::HttpExporter> start_http_exporter(
     const Args& args, telemetry::HttpExporterConfig config,
     const char* command) {
-  config.port = static_cast<std::uint16_t>(args.get_u64("http-port", 0));
+  config.port = args.get_in<std::uint16_t>("http-port", 0);
   std::unique_ptr<telemetry::HttpExporter> http;
   try {
     http = std::make_unique<telemetry::HttpExporter>(std::move(config));
@@ -484,8 +493,7 @@ int cmd_synthesize(const Args& args) {
   const std::string out = args.get("out", "trace.pcap");
   auto config = preset_by_name(args.get("preset", "cos"),
                                args.get_u64("seed", 42));
-  config.num_intervals =
-      static_cast<std::uint32_t>(args.get_u64("intervals", 6));
+  config.num_intervals = args.get_in<std::uint32_t>("intervals", 6, 1);
   const double scale = args.get_double("scale", 0.1);
   if (scale < 1.0) config = trace::scaled(config, scale);
   if (args.get("arrivals", "uniform") == "bursty") {
@@ -497,8 +505,11 @@ int cmd_synthesize(const Args& args) {
     std::fprintf(stderr, "cannot open %s for writing\n", out.c_str());
     return 1;
   }
+  // The reader rejects a capture whose snaplen is 0 or past
+  // kMaxSnapLen, so synthesize never writes one.
   pcap::PcapWriter writer(
-      stream, static_cast<std::uint32_t>(args.get_u64("snaplen", 96)));
+      stream, static_cast<std::uint32_t>(
+                  args.get_u64_in("snaplen", 96, 1, pcap::kMaxSnapLen)));
   trace::TraceSynthesizer synth(config);
   common::ByteCount bytes = 0;
   for (;;) {
@@ -592,8 +603,7 @@ int cmd_measure(const Args& args) {
   const std::string algorithm = args.get("algorithm", "multistage");
   const std::size_t entries = args.get_u64("entries", 4096);
   const std::uint64_t seed = args.get_u64("seed", 1);
-  const auto shards = static_cast<std::uint32_t>(args.get_u64_in(
-      "shards", 1, 1, std::numeric_limits<std::uint32_t>::max()));
+  const auto shards = args.get_in<std::uint32_t>("shards", 1, 1);
   const bool adaptive = args.get_u64("adaptive", 0) != 0;
   const bool shard_usage_dump = args.get_u64("shard-usage", 0) != 0;
   if (adaptive && algorithm == "netflow") {
@@ -602,10 +612,8 @@ int cmd_measure(const Args& args) {
                  "(sample-and-hold, multistage)\n");
     return 2;
   }
-  const auto device_id =
-      static_cast<std::uint32_t>(args.get_u64("device-id", 0));
-  const auto fleet_size =
-      static_cast<std::uint32_t>(args.get_u64("fleet-size", 0));
+  const auto device_id = args.get_in<std::uint32_t>("device-id", 0);
+  const auto fleet_size = args.get_in<std::uint32_t>("fleet-size", 0);
   if (fleet_size > 0) {
     if (device_id >= fleet_size) {
       std::fprintf(stderr,
@@ -759,7 +767,7 @@ int cmd_measure(const Args& args) {
     sharded.metrics = metrics;
     sharded.trace = tracer.get();
     sharded.trace_batch_sample =
-        static_cast<std::uint32_t>(args.get_u64("trace-sample", 64));
+        args.get_in<std::uint32_t>("trace-sample", 64);
     sharded.faults = faults.get();
     sharded.watchdog_timeout = std::chrono::milliseconds(watchdog_ms);
     if (adaptive) sharded.adaptor = adaptor_config;
@@ -876,8 +884,8 @@ int cmd_measure(const Args& args) {
       spool_config.max_total_bytes =
           args.get_u64("spool-max-bytes", 1ULL << 26);
       spool_config.fsync = args.get_u64("spool-fsync", 1) != 0;
-      spool_config.fsync_batch = static_cast<std::uint32_t>(
-          args.get_u64("spool-fsync-batch", 1));
+      spool_config.fsync_batch =
+          args.get_in<std::uint32_t>("spool-fsync-batch", 1);
       spool_config.faults = faults.get();
       spool_config.metrics = metrics;
       spool_config.trace = tracer.get();
@@ -902,7 +910,7 @@ int cmd_measure(const Args& args) {
     channel_config.bytes_per_interval =
         args.get_u64("net-budget", 1ULL << 22);
     channel_config.max_attempts =
-        static_cast<std::uint32_t>(args.get_u64("net-attempts", 4));
+        args.get_in<std::uint32_t>("net-attempts", 4, 1);
     channel_config.backoff_base =
         std::chrono::microseconds(args.get_u64("net-backoff-us", 1000));
     channel_config.sleep_on_backoff = true;
@@ -989,16 +997,16 @@ int cmd_measure(const Args& args) {
         // The collector merges member ShardStatus entries; an unsharded
         // device ships one synthesized status (exactly what a fleet
         // member attaches) so thresholds and occupancy survive the
-        // merge. Sharded reports already carry theirs.
-        core::Report shipped = report;
-        if (shipped.shards.empty()) {
-          shipped.shards.assign(
-              1, core::make_shard_status(
-                     shipped, session.device().flow_memory_capacity(),
-                     0, 0));
+        // merge. Sharded reports already carry theirs. The report is
+        // printed and exported by now, so the status is attached in
+        // place rather than on a copy.
+        if (report.shards.empty()) {
+          const core::ShardStatus status = core::make_shard_status(
+              report, session.device().flow_memory_capacity(), 0, 0);
+          report.shards.assign(1, status);
         }
         const reporting::DeliveryOutcome outcome =
-            channel->send(shipped, metrics_line);
+            channel->send(report, metrics_line);
         // In spool mode an undelivered report is waiting, not lost —
         // the only permanent spool loss is a budget drop, accounted
         // from the spool's own stats at exit.
@@ -1209,9 +1217,8 @@ int cmd_measure(const Args& args) {
 
 int cmd_collect(const Args& args) {
   net::CollectorConfig config;
-  config.port = static_cast<std::uint16_t>(args.get_u64("listen", 0));
-  config.expected_devices =
-      static_cast<std::uint32_t>(args.get_u64("devices", 1));
+  config.port = args.get_in<std::uint16_t>("listen", 0);
+  config.expected_devices = args.get_in<std::uint32_t>("devices", 1);
   config.timeout =
       std::chrono::milliseconds(args.get_u64("timeout-ms", 0));
   if (config.expected_devices == 0 && config.timeout.count() == 0) {
@@ -1225,8 +1232,8 @@ int cmd_collect(const Args& args) {
   // Collector constructor, before the listener accepts anything.
   config.journal_path = args.get("journal", "");
   config.journal_fsync = args.get_u64("journal-fsync", 1) != 0;
-  config.journal_fsync_batch = static_cast<std::uint32_t>(
-      args.get_u64("journal-fsync-batch", 1));
+  config.journal_fsync_batch =
+      args.get_in<std::uint32_t>("journal-fsync-batch", 1);
   std::unique_ptr<robustness::FaultInjector> faults;
   if (args.has("fault-plan")) {
     try {
@@ -1426,9 +1433,8 @@ int cmd_bounds(const Args& args) {
               analysis::entries_bound(sh, 0.001));
 
   analysis::MultistageParams msf;
-  msf.buckets =
-      static_cast<std::uint32_t>(args.get_u64("buckets", 1000));
-  msf.depth = static_cast<std::uint32_t>(args.get_u64("depth", 4));
+  msf.buckets = args.get_in<std::uint32_t>("buckets", 1000);
+  msf.depth = args.get_in<std::uint32_t>("depth", 4);
   msf.flows = args.get_double("flows", 100'000);
   msf.capacity = sh.capacity;
   msf.threshold = sh.threshold;

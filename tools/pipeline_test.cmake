@@ -113,6 +113,29 @@ expect_bad_flag(--interval measure --in ${WORKDIR}/smoke.pcap --interval 0)
 expect_bad_flag(--interval
                 measure --in ${WORKDIR}/smoke.pcap --interval 9223372037)
 expect_bad_flag(--shards measure --in ${WORKDIR}/smoke.pcap --shards 0)
+# Flags stored in a narrower type than the 64-bit parse are range
+# checked before the cast: --fleet-size 4294967297 used to wrap to 1
+# and run as a fleet of one, --http-port 65536 to an ephemeral port.
+expect_bad_flag(--fleet-size measure --in ${WORKDIR}/smoke.pcap
+                --fleet-size 4294967297 --device-id 0)
+expect_bad_flag(--device-id measure --in ${WORKDIR}/smoke.pcap
+                --fleet-size 2 --device-id 4294967296)
+expect_bad_flag(--trace-sample measure --in ${WORKDIR}/smoke.pcap
+                --shards 2 --trace-sample 4294967297)
+expect_bad_flag(--net-attempts measure --in ${WORKDIR}/smoke.pcap
+                --connect 127.0.0.1:1 --net-attempts 4294967297)
+expect_bad_flag(--net-attempts measure --in ${WORKDIR}/smoke.pcap
+                --connect 127.0.0.1:1 --net-attempts 0)
+expect_bad_flag(--http-port measure --in ${WORKDIR}/smoke.pcap
+                --http-port 65536)
+expect_bad_flag(--intervals synthesize --intervals 4294967297
+                --out ${WORKDIR}/never.pcap)
+expect_bad_flag(--snaplen synthesize --snaplen 4294967297
+                --out ${WORKDIR}/never.pcap)
+expect_bad_flag(--listen collect --listen 65536 --devices 1
+                --timeout-ms 100)
+expect_bad_flag(--devices collect --listen 0 --devices 4294967297
+                --timeout-ms 100)
 # Unknown flags exit 2 naming the flag instead of being dropped: a typo
 # for --shards used to run unsharded, and --pin is gone.
 expect_bad_flag(--shard measure --in ${WORKDIR}/smoke.pcap --shard 3)

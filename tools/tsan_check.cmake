@@ -11,9 +11,19 @@
 # Every nested build configures with -DND_WERROR=ON, so a new compiler
 # warning — in the sanitized builds too — fails this target.
 #
-# Expects -DSOURCE_DIR=<repo root> -DBUILD_DIR=<scratch build dir>.
+# Expects -DSOURCE_DIR=<repo root> -DBUILD_DIR=<scratch build dir>;
+# -DJOBS=<n> bounds every nested build's job count (default: the host's
+# logical core count — never the unbounded `make -j` a bare --parallel
+# turns into).
 if(NOT DEFINED SOURCE_DIR OR NOT DEFINED BUILD_DIR)
   message(FATAL_ERROR "tsan_check.cmake needs -DSOURCE_DIR and -DBUILD_DIR")
+endif()
+if(NOT DEFINED JOBS OR JOBS STREQUAL "")
+  cmake_host_system_information(RESULT JOBS QUERY NUMBER_OF_LOGICAL_CORES)
+endif()
+if(NOT JOBS MATCHES "^[1-9][0-9]*$")
+  message(FATAL_ERROR "tsan_check.cmake: JOBS must be a positive integer, "
+                      "got '${JOBS}'")
 endif()
 
 # The concurrency suites plus the tag-layout suites added with the
@@ -49,7 +59,7 @@ function(run_sanitized sanitizer subdir regex)
     message(FATAL_ERROR "tsan_check[${sanitizer}]: configure failed: ${rv}")
   endif()
   execute_process(
-    COMMAND ${CMAKE_COMMAND} --build ${san_build} --parallel
+    COMMAND ${CMAKE_COMMAND} --build ${san_build} --parallel ${JOBS}
             --target common_tests core_tests eval_tests telemetry_tests
             robustness_tests flowmem_tests hash_tests simd_tests
             net_tests observability_tests durability_tests soak_tests
@@ -116,7 +126,7 @@ if(NOT rv EQUAL 0)
   message(FATAL_ERROR "tsan_check[nosimd]: configure failed: ${rv}")
 endif()
 execute_process(
-  COMMAND ${CMAKE_COMMAND} --build ${nosimd_build} --parallel
+  COMMAND ${CMAKE_COMMAND} --build ${nosimd_build} --parallel ${JOBS}
           --target common_tests flowmem_tests hash_tests simd_tests
   RESULT_VARIABLE rv)
 if(NOT rv EQUAL 0)
