@@ -1,20 +1,20 @@
 // ndtm — the command-line front end to the library.
 //
-//   ndtm synthesize --preset mag --scale 0.1 --intervals 6 --out t.pcap
+// Every subcommand's flags — name, kind, range or choices, default and
+// the flag each needs — are declared once, in its table in
+// tools/cli/ndtm_flags.hpp. The whole command line is checked against
+// that table before the command runs: an unknown or repeated flag, a
+// value outside its kind or range (a bare valued flag included), or a
+// flag given without the flag it needs exits 2 naming it.
+//
+//   ndtm synthesize
 //       Write a calibrated synthetic trace as a standard pcap file.
 //
-//   ndtm measure --in t.pcap --algorithm multistage --flow-def dstip
-//                --threshold 100000 --interval 5 [--export reports.bin]
-//                [--shards N] [--adaptive 1] [--shard-usage 1]
-//                [--metrics[=path]] [--fault-plan spec] [--fault-seed N]
-//                [--watchdog-ms N] [--checkpoint path]
-//                [--hugepages[=explicit]] [--http-port N] [--trace path]
+//   ndtm measure
 //       Stream a pcap through a measurement device in fixed intervals
 //       and print (and optionally export) the heavy hitters per
 //       interval. Algorithms: sample-and-hold, multistage, netflow.
 //       Flow definitions: 5tuple, dstip, netpair:<prefixlen>.
-//       --interval is whole seconds in 1..9223372036 (the int64
-//       nanosecond clock's range); --shards must be at least 1.
 //       --shards N > 1 partitions the flow space RSS-style across N
 //       replicas of the device running on a worker pool; --threshold is
 //       only the starting point, not a fixed global value. With
@@ -127,12 +127,6 @@
 //       incomplete), and the process exits 0 — a later --resume run
 //       continues where it left off.
 //
-//       Flags are strict: a flag the subcommand does not take (say
-//       --shard for --shards) exits 2 naming it; integers are plain
-//       decimals, --scale style values must parse whole as numbers, and
-//       a bare numeric flag has no value — any of these exits 2 naming
-//       the flag.
-//
 //       Exit codes: 0 success (including "reports still spooled, not
 //       yet collected" — durable, not lost), 1 file/IO error, 2 bad
 //       arguments, 3 decode error (malformed pcap or report), 4
@@ -142,12 +136,7 @@
 //       undeliverable), or when the spool's disk budget dropped a
 //       report outright.
 //
-//   ndtm collect --listen PORT --devices N [--export merged.bin]
-//                [--timeout-ms N] [--port-file path] [--metrics[=path]]
-//                [--http-port N] [--http-port-file path] [--trace path]
-//                [--journal path] [--journal-fsync 0|1]
-//                [--journal-fsync-batch N]
-//                [--fault-plan spec] [--fault-seed N]
+//   ndtm collect
 //       The management-station end: accept device connections on
 //       127.0.0.1:PORT (0 = ephemeral; --port-file writes the bound
 //       port for harnesses), ingest framed reports with per-device
@@ -180,24 +169,22 @@
 //       Exit codes: 0 all devices completed, 1 IO error, 2 bad
 //       arguments, 5 timed out (or stopped) first.
 //
-//   ndtm bounds --threshold 1000000 --capacity 100000000
-//                --oversampling 20 --buckets 1000 --depth 4
-//                --flows 100000
+//   ndtm bounds
 //       Evaluate the paper's analytical bounds for a configuration.
+//
+//   ndtm dimension
+//       Size sample-and-hold and multistage-filter devices for a memory
+//       budget, flow count and traffic volume (Section 6).
 #include <signal.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <csignal>
 #include <cstdio>
-#include <cstring>
 #include <exception>
 #include <filesystem>
 #include <fstream>
-#include <limits>
-#include <map>
 #include <memory>
 #include <optional>
 #include <span>
@@ -210,6 +197,7 @@
 #include "analysis/multistage_bounds.hpp"
 #include "analysis/sample_hold_bounds.hpp"
 #include "baseline/sampled_netflow.hpp"
+#include "cli/ndtm_flags.hpp"
 #include "common/crc32.hpp"
 #include "common/format.hpp"
 #include "common/hugepage.hpp"
@@ -242,120 +230,6 @@
 using namespace nd;
 
 namespace {
-
-/// A plain unsigned decimal: digits only (no sign, space, base prefix
-/// or exponent) and no overflow. nullopt for anything else.
-std::optional<std::uint64_t> parse_decimal(std::string_view text) {
-  if (text.empty()) return std::nullopt;
-  std::uint64_t value = 0;
-  for (const char c : text) {
-    if (c < '0' || c > '9') return std::nullopt;
-    const auto digit = static_cast<std::uint64_t>(c - '0');
-    if (value > (UINT64_MAX - digit) / 10) return std::nullopt;
-    value = value * 10 + digit;
-  }
-  return value;
-}
-
-/// Minimal flag parser; every subcommand shares it. Accepts
-/// `--key value`, `--key=value`, and bare `--key` (stored with an empty
-/// value — use has() to test presence). Strict: a flag outside the
-/// subcommand's list (require_known) and a numeric value that does not
-/// parse whole — including a bare numeric flag — exit 2 naming the
-/// flag, instead of running with a dropped flag or a misread number.
-class Args {
- public:
-  Args(int argc, char** argv, int first) {
-    for (int i = first; i < argc; ++i) {
-      std::string key = argv[i];
-      if (key.rfind("--", 0) != 0) {
-        std::fprintf(stderr, "bad flag: %s\n", key.c_str());
-        std::exit(2);
-      }
-      key.erase(0, 2);
-      if (const auto eq = key.find('='); eq != std::string::npos) {
-        values_[key.substr(0, eq)] = key.substr(eq + 1);
-      } else if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
-        values_[key] = argv[++i];
-      } else {
-        values_[key] = "";  // bare flag
-      }
-    }
-  }
-
-  [[nodiscard]] std::string get(const std::string& key,
-                                const std::string& fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : it->second;
-  }
-  [[nodiscard]] double get_double(const std::string& key,
-                                  double fallback) const {
-    const auto it = values_.find(key);
-    if (it == values_.end()) return fallback;
-    const char* text = it->second.c_str();
-    char* end = nullptr;
-    const double value = std::strtod(text, &end);
-    if (it->second.empty() || *end != '\0' || !std::isfinite(value)) {
-      bad_value(key, "a number");
-    }
-    return value;
-  }
-  [[nodiscard]] std::uint64_t get_u64(const std::string& key,
-                                      std::uint64_t fallback) const {
-    const auto it = values_.find(key);
-    if (it == values_.end()) return fallback;
-    const auto value = parse_decimal(it->second);
-    if (!value) bad_value(key, "a non-negative decimal integer");
-    return *value;
-  }
-  /// get_u64 restricted to [min, max]; a value outside exits 2 naming
-  /// the flag instead of being clamped or wrapped.
-  [[nodiscard]] std::uint64_t get_u64_in(const std::string& key,
-                                         std::uint64_t fallback,
-                                         std::uint64_t min,
-                                         std::uint64_t max) const {
-    const std::uint64_t value = get_u64(key, fallback);
-    if (has(key) && (value < min || value > max)) {
-      const std::string expected =
-          "an integer in " + std::to_string(min) + ".." + std::to_string(max);
-      bad_value(key, expected.c_str());
-    }
-    return value;
-  }
-  /// get_u64_in for a flag stored in a narrower unsigned type T: the
-  /// range tops out at T's maximum, so a larger value exits 2 instead
-  /// of wrapping in the narrowing cast.
-  template <typename T>
-  [[nodiscard]] T get_in(const std::string& key, T fallback,
-                         T min = 0) const {
-    return static_cast<T>(
-        get_u64_in(key, fallback, min, std::numeric_limits<T>::max()));
-  }
-  [[nodiscard]] bool has(const std::string& key) const {
-    return values_.count(key) > 0;
-  }
-  void require_known(const std::string& command,
-                     const std::vector<std::string_view>& known) const {
-    for (const auto& entry : values_) {
-      if (std::find(known.begin(), known.end(), entry.first) ==
-          known.end()) {
-        std::fprintf(stderr, "%s: unknown flag --%s\n", command.c_str(),
-                     entry.first.c_str());
-        std::exit(2);
-      }
-    }
-  }
-
- private:
-  [[noreturn]] void bad_value(const std::string& key,
-                              const char* expected) const {
-    std::fprintf(stderr, "bad value for --%s: '%s' (expected %s)\n",
-                 key.c_str(), values_.at(key).c_str(), expected);
-    std::exit(2);
-  }
-
-  std::map<std::string, std::string> values_;
-};
 
 /// Trace pid for `ndtm collect` exports — a constant no --device-id can
 /// collide with, so a device trace and the collector trace loaded into
@@ -438,29 +312,70 @@ class PortFileGuard {
   std::string path_;
 };
 
-/// --trace=path: drain the recorder into a chrome://tracing JSON file.
+/// --trace path: span recording. Off (the default) every instrumented
+/// site holds a null recorder — one branch, no clock reads.
+std::unique_ptr<telemetry::TraceRecorder> make_tracer(
+    const cli::PipelineFlags& flags) {
+  if (!flags.trace.given) return nullptr;
+  return std::make_unique<telemetry::TraceRecorder>();
+}
+
+/// Drain the --trace recorder into a chrome://tracing JSON file; true
+/// when there is no recorder.
 bool write_trace_file(const std::string& path,
-                      const telemetry::TraceRecorder& recorder,
+                      const telemetry::TraceRecorder* recorder,
                       std::uint32_t pid) {
+  if (recorder == nullptr) return true;
   std::ofstream stream(path, std::ios::binary | std::ios::trunc);
   if (!stream) {
     std::fprintf(stderr, "cannot open %s for trace\n", path.c_str());
     return false;
   }
-  const std::vector<telemetry::TraceEvent> events = recorder.events();
+  const std::vector<telemetry::TraceEvent> events = recorder->events();
   stream << telemetry::to_chrome_trace(events, pid);
   std::printf("trace: %zu spans (%llu dropped) -> %s\n", events.size(),
-              static_cast<unsigned long long>(recorder.dropped()),
+              static_cast<unsigned long long>(recorder->dropped()),
               path.c_str());
   return stream.good();
 }
 
-/// Serve the observability endpoint; exits with code 1 on a bind
-/// failure (the port is an operator input, same class as a bad path).
+/// --export path: open the binary report export; false (after saying
+/// why) when it cannot be. No path, no stream.
+bool open_export(const std::string& path, std::ofstream& stream) {
+  if (path.empty()) return true;
+  stream.open(path, std::ios::binary);
+  if (!stream) {
+    std::fprintf(stderr, "cannot open %s for export\n", path.c_str());
+    return false;
+  }
+  return true;
+}
+
+/// --fault-plan / --fault-seed: deterministic chaos across the pipeline
+/// (grammar in robustness/fault.hpp; the flag table has already
+/// rejected a malformed plan). Null without a plan.
+std::unique_ptr<robustness::FaultInjector> make_fault_injector(
+    const cli::PipelineFlags& flags) {
+  if (!flags.fault_plan.given) return nullptr;
+  return std::make_unique<robustness::FaultInjector>(
+      robustness::parse_fault_plan(*flags.fault_plan, *flags.fault_seed));
+}
+
+/// --http-port: serve the observability endpoint, whose /metrics renders
+/// `registry` with the process-global CRC byte counters folded in
+/// (nd_crc_bytes_total{impl=...} shows which kernel tier is live), and
+/// publish the bound port to --http-port-file, which `port_guard`
+/// removes at exit. Null on a bind or port-file failure — exit 1: the
+/// port is an operator input, same class as a bad path.
 std::unique_ptr<telemetry::HttpExporter> start_http_exporter(
-    const Args& args, telemetry::HttpExporterConfig config,
-    const char* command) {
-  config.port = args.get_in<std::uint16_t>("http-port", 0);
+    const cli::PipelineFlags& flags, telemetry::MetricsRegistry& registry,
+    telemetry::HttpExporterConfig config, const char* command,
+    PortFileGuard& port_guard) {
+  config.port = *flags.http_port;
+  config.metrics_text = [&registry] {
+    common::sync_crc32_metrics(registry);
+    return telemetry::to_prometheus(registry.snapshot());
+  };
   std::unique_ptr<telemetry::HttpExporter> http;
   try {
     http = std::make_unique<telemetry::HttpExporter>(std::move(config));
@@ -469,47 +384,36 @@ std::unique_ptr<telemetry::HttpExporter> start_http_exporter(
     return nullptr;
   }
   http->start();
-  if (!write_port_file(args.get("http-port-file", ""), http->port())) {
-    return nullptr;
-  }
+  if (!write_port_file(*flags.http_port_file, http->port())) return nullptr;
+  port_guard.arm(*flags.http_port_file);
   std::printf("%s: observability http on 127.0.0.1:%u\n", command,
               http->port());
   std::fflush(stdout);
   return http;
 }
 
-trace::TraceConfig preset_by_name(const std::string& name,
+trace::TraceConfig preset_by_name(std::string_view name,
                                   std::uint64_t seed) {
   if (name == "mag") return trace::Presets::mag(seed);
   if (name == "mag+") return trace::Presets::mag_plus(seed);
   if (name == "ind") return trace::Presets::ind(seed);
-  if (name == "cos") return trace::Presets::cos(seed);
-  std::fprintf(stderr, "unknown preset: %s (mag, mag+, ind, cos)\n",
-               name.c_str());
-  std::exit(2);
+  return trace::Presets::cos(seed);  // the table's last choice
 }
 
-int cmd_synthesize(const Args& args) {
-  const std::string out = args.get("out", "trace.pcap");
-  auto config = preset_by_name(args.get("preset", "cos"),
-                               args.get_u64("seed", 42));
-  config.num_intervals = args.get_in<std::uint32_t>("intervals", 6, 1);
-  const double scale = args.get_double("scale", 0.1);
-  if (scale < 1.0) config = trace::scaled(config, scale);
-  if (args.get("arrivals", "uniform") == "bursty") {
+int cmd_synthesize(const cli::SynthesizeFlags& flags) {
+  auto config = preset_by_name(*flags.preset, *flags.seed);
+  config.num_intervals = *flags.intervals;
+  if (*flags.scale < 1.0) config = trace::scaled(config, *flags.scale);
+  if (*flags.arrivals == "bursty") {
     config.arrival_model = trace::TraceConfig::ArrivalModel::kBursty;
   }
 
-  std::ofstream stream(out, std::ios::binary);
+  std::ofstream stream(*flags.out, std::ios::binary);
   if (!stream) {
-    std::fprintf(stderr, "cannot open %s for writing\n", out.c_str());
+    std::fprintf(stderr, "cannot open %s for writing\n", flags.out->c_str());
     return 1;
   }
-  // The reader rejects a capture whose snaplen is 0 or past
-  // kMaxSnapLen, so synthesize never writes one.
-  pcap::PcapWriter writer(
-      stream, static_cast<std::uint32_t>(
-                  args.get_u64_in("snaplen", 96, 1, pcap::kMaxSnapLen)));
+  pcap::PcapWriter writer(stream, *flags.snaplen);
   trace::TraceSynthesizer synth(config);
   common::ByteCount bytes = 0;
   for (;;) {
@@ -524,34 +428,12 @@ int cmd_synthesize(const Args& args) {
               config.name.c_str(),
               static_cast<unsigned long long>(writer.packets_written()),
               common::format_bytes(bytes).c_str(), config.num_intervals,
-              out.c_str());
+              flags.out->c_str());
   return 0;
 }
 
-packet::FlowDefinition flow_def_by_name(const std::string& name) {
-  if (name == "5tuple") return packet::FlowDefinition::five_tuple();
-  if (name == "dstip") return packet::FlowDefinition::destination_ip();
-  if (name.rfind("netpair:", 0) == 0) {
-    const auto prefix_len = parse_decimal(std::string_view(name).substr(8));
-    if (!prefix_len || *prefix_len > 32) {
-      std::fprintf(stderr,
-                   "bad value for --flow-def: '%s' (netpair:<len> takes a "
-                   "prefix length of 0-32)\n",
-                   name.c_str());
-      std::exit(2);
-    }
-    return packet::FlowDefinition::network_pair(
-        static_cast<std::uint8_t>(*prefix_len));
-  }
-  std::fprintf(stderr,
-               "unknown flow definition: %s (5tuple, dstip, "
-               "netpair:<len>)\n",
-               name.c_str());
-  std::exit(2);
-}
-
 std::unique_ptr<core::MeasurementDevice> device_by_name(
-    const std::string& name, common::ByteCount threshold,
+    std::string_view name, common::ByteCount threshold,
     std::size_t entries, std::uint64_t seed,
     telemetry::MetricsRegistry* metrics = nullptr,
     telemetry::Labels metric_labels = {}) {
@@ -579,41 +461,29 @@ std::unique_ptr<core::MeasurementDevice> device_by_name(
     config.metric_labels = std::move(metric_labels);
     return std::make_unique<core::MultistageFilter>(config);
   }
-  if (name == "netflow") {
-    baseline::SampledNetFlowConfig config;
-    config.sampling_divisor = 16;
-    config.seed = seed;
-    return std::make_unique<baseline::SampledNetFlow>(config);
-  }
-  std::fprintf(stderr,
-               "unknown algorithm: %s (sample-and-hold, multistage, "
-               "netflow)\n",
-               name.c_str());
-  std::exit(2);
+  // netflow, the table's last choice.
+  baseline::SampledNetFlowConfig config;
+  config.sampling_divisor = 16;
+  config.seed = seed;
+  return std::make_unique<baseline::SampledNetFlow>(config);
 }
 
-int cmd_measure(const Args& args) {
-  const std::string in = args.get("in", "");
-  if (in.empty()) {
+int cmd_measure(const cli::MeasureFlags& flags) {
+  const cli::PipelineFlags& pipeline = flags.pipeline;
+  if (!flags.in.given) {
     std::fprintf(stderr, "measure: --in <file.pcap> is required\n");
     return 2;
   }
-  const common::ByteCount threshold = args.get_u64("threshold", 100'000);
-  const auto definition = flow_def_by_name(args.get("flow-def", "5tuple"));
-  const std::string algorithm = args.get("algorithm", "multistage");
-  const std::size_t entries = args.get_u64("entries", 4096);
-  const std::uint64_t seed = args.get_u64("seed", 1);
-  const auto shards = args.get_in<std::uint32_t>("shards", 1, 1);
-  const bool adaptive = args.get_u64("adaptive", 0) != 0;
-  const bool shard_usage_dump = args.get_u64("shard-usage", 0) != 0;
-  if (adaptive && algorithm == "netflow") {
+  const bool adaptive = *flags.adaptive;
+  const std::uint32_t shards = *flags.shards;
+  const std::uint32_t device_id = *flags.device_id;
+  const std::uint32_t fleet_size = *flags.fleet_size;
+  if (adaptive && *flags.algorithm == "netflow") {
     std::fprintf(stderr,
                  "measure: --adaptive needs a thresholded algorithm "
                  "(sample-and-hold, multistage)\n");
     return 2;
   }
-  const auto device_id = args.get_in<std::uint32_t>("device-id", 0);
-  const auto fleet_size = args.get_in<std::uint32_t>("fleet-size", 0);
   if (fleet_size > 0) {
     if (device_id >= fleet_size) {
       std::fprintf(stderr,
@@ -634,34 +504,31 @@ int cmd_measure(const Args& args) {
       return 2;
     }
   }
-  const std::string connect = args.get("connect", "");
-  const std::string spool_dir = args.get("spool-dir", "");
-  if (!spool_dir.empty() && connect.empty()) {
+  if (*flags.watchdog_ms > 0 && shards <= 1) {
     std::fprintf(stderr,
-                 "measure: --spool-dir spools reports for a collector; "
-                 "it needs --connect\n");
+                 "measure: --watchdog-ms needs --shards > 1 (the "
+                 "watchdog guards shard interval closes)\n");
     return 2;
   }
+  const common::ByteCount threshold = *flags.threshold;
+  const packet::FlowDefinition definition =
+      *cli::flow_definition(*flags.flow_def);
   const core::ThresholdAdaptorConfig adaptor_config =
-      algorithm == "sample-and-hold" ? core::sample_and_hold_adaptor()
-                                     : core::multistage_adaptor();
+      *flags.algorithm == "sample-and-hold" ? core::sample_and_hold_adaptor()
+                                           : core::multistage_adaptor();
 
   // --metrics / --metrics=path / --metrics path: turn the telemetry
   // layer on. --http-port implies it (a scrape endpoint over an empty
   // registry would be useless). With neither flag the devices are
   // built with a null registry and the packet path carries zero
   // telemetry cost.
-  const bool metrics_on = args.has("metrics");
-  const bool http_on = args.has("http-port");
-  const std::string metrics_arg = args.get("metrics", "");
-  const std::string metrics_path =
-      metrics_arg.empty() ? "metrics.jsonl" : metrics_arg;
+  const std::string& metrics_path = *pipeline.metrics;
   telemetry::MetricsRegistry registry;
   telemetry::MetricsRegistry* metrics =
-      metrics_on || http_on ? &registry : nullptr;
+      pipeline.metrics.given || pipeline.http_port.given ? &registry : nullptr;
   std::ofstream metrics_stream;
   std::unique_ptr<telemetry::JsonLinesExporter> metrics_exporter;
-  if (metrics_on) {
+  if (pipeline.metrics.given) {
     metrics_stream.open(metrics_path);
     if (!metrics_stream) {
       std::fprintf(stderr, "cannot open %s for metrics\n",
@@ -679,65 +546,22 @@ int cmd_measure(const Args& args) {
   std::unique_ptr<reporting::ResilientChannel> channel;
   std::unique_ptr<telemetry::HttpExporter> http;
   PortFileGuard http_port_guard;
-  if (http_on) {
+  if (pipeline.http_port.given) {
     telemetry::HttpExporterConfig http_config;
-    http_config.metrics_text = [&registry] {
-      // Fold the process-global CRC byte counters into this scrape —
-      // nd_crc_bytes_total{impl=...} shows which kernel tier is live.
-      common::sync_crc32_metrics(registry);
-      return telemetry::to_prometheus(registry.snapshot());
-    };
     http_config.healthy = [&spool] {
       return spool == nullptr || !spool->draining();
     };
-    http = start_http_exporter(args, std::move(http_config), "measure");
+    http = start_http_exporter(pipeline, registry, std::move(http_config),
+                               "measure", http_port_guard);
     if (http == nullptr) return 1;
-    http_port_guard.arm(args.get("http-port-file", ""));
   }
 
-  // --trace path: span recording. Off (the default) every instrumented
-  // site holds a null recorder — one branch, no clock reads.
-  const std::string trace_path = args.get("trace", "");
-  if (args.has("trace") && trace_path.empty()) {
-    std::fprintf(stderr, "measure: --trace needs a file path\n");
-    return 2;
-  }
-  std::unique_ptr<telemetry::TraceRecorder> tracer;
-  if (!trace_path.empty()) {
-    tracer = std::make_unique<telemetry::TraceRecorder>();
-  }
-
-  // --fault-plan: deterministic chaos across the pipeline (grammar in
-  // robustness/fault.hpp). Parsed up front so a malformed spec is a
-  // usage error, not a mid-run surprise.
-  std::unique_ptr<robustness::FaultInjector> faults;
-  if (args.has("fault-plan")) {
-    try {
-      faults = std::make_unique<robustness::FaultInjector>(
-          robustness::parse_fault_plan(args.get("fault-plan", ""),
-                                       args.get_u64("fault-seed", 1)));
-    } catch (const std::invalid_argument& error) {
-      std::fprintf(stderr, "measure: bad --fault-plan: %s\n",
-                   error.what());
-      return 2;
-    }
-    faults->attach_telemetry(metrics);
-  }
-  const auto watchdog_ms = args.get_u64("watchdog-ms", 0);
-  if (watchdog_ms > 0 && shards <= 1) {
-    std::fprintf(stderr,
-                 "measure: --watchdog-ms needs --shards > 1 (the "
-                 "watchdog guards shard interval closes)\n");
-    return 2;
-  }
-  const std::string checkpoint_path = args.get("checkpoint", "");
-  const bool resume_requested = args.has("resume");
-  if (resume_requested && checkpoint_path.empty()) {
-    std::fprintf(stderr,
-                 "measure: --resume restarts from a checkpoint; it "
-                 "needs --checkpoint\n");
-    return 2;
-  }
+  const std::unique_ptr<telemetry::TraceRecorder> tracer =
+      make_tracer(pipeline);
+  const std::unique_ptr<robustness::FaultInjector> faults =
+      make_fault_injector(pipeline);
+  if (faults) faults->attach_telemetry(metrics);
+  const std::string& checkpoint_path = *flags.checkpoint;
 
   // --hugepages / --hugepages=explicit: back the flow-memory slot/tag
   // arrays and stage counter rows with 2 MB pages (common/hugepage.hpp).
@@ -745,14 +569,14 @@ int cmd_measure(const Args& args) {
   // mode at allocation. "explicit" asks the reserved MAP_HUGETLB pool
   // first; both fall back silently to normal pages where unavailable,
   // changing nothing but page size.
-  const bool hugepages_on = args.has("hugepages");
-  if (hugepages_on) {
-    const std::string hugepages_arg = args.get("hugepages", "");
-    common::set_hugepage_mode(hugepages_arg == "explicit"
+  if (flags.hugepages.given) {
+    common::set_hugepage_mode(*flags.hugepages == "explicit"
                                   ? common::HugePageMode::kExplicit
                                   : common::HugePageMode::kTransparent);
   }
 
+  const std::size_t entries = *flags.entries;
+  const std::uint64_t seed = *flags.seed;
   std::unique_ptr<common::ThreadPool> pool;  // outlives the session
   std::unique_ptr<core::MeasurementDevice> device;
   if (shards > 1) {
@@ -766,10 +590,9 @@ int cmd_measure(const Args& args) {
     sharded.pool = pool.get();
     sharded.metrics = metrics;
     sharded.trace = tracer.get();
-    sharded.trace_batch_sample =
-        args.get_in<std::uint32_t>("trace-sample", 64);
+    sharded.trace_batch_sample = *flags.trace_sample;
     sharded.faults = faults.get();
-    sharded.watchdog_timeout = std::chrono::milliseconds(watchdog_ms);
+    sharded.watchdog_timeout = std::chrono::milliseconds(*flags.watchdog_ms);
     if (adaptive) sharded.adaptor = adaptor_config;
     // Split the memory budget across shards (>= 64 entries each).
     const std::size_t per_shard =
@@ -777,8 +600,8 @@ int cmd_measure(const Args& args) {
     device = std::make_unique<core::ShardedDevice>(
         sharded, [&](std::uint32_t shard, std::uint64_t shard_seed_value) {
           return device_by_name(
-              algorithm, threshold, per_shard, shard_seed_value, metrics,
-              telemetry::Labels{{"shard", std::to_string(shard)}});
+              *flags.algorithm, threshold, per_shard, shard_seed_value,
+              metrics, telemetry::Labels{{"shard", std::to_string(shard)}});
         });
   } else if (fleet_size > 0) {
     // One member of a --fleet-size fleet: the inner replica is built
@@ -790,21 +613,18 @@ int cmd_measure(const Args& args) {
         std::max<std::size_t>(entries / fleet_size, 64);
     device = std::make_unique<net::FleetSliceDevice>(
         device_id, fleet_size, seed,
-        device_by_name(algorithm, threshold, per_member,
+        device_by_name(*flags.algorithm, threshold, per_member,
                        core::shard_seed(seed, device_id), metrics));
   } else {
-    device = device_by_name(algorithm, threshold, entries, seed, metrics);
+    device =
+        device_by_name(*flags.algorithm, threshold, entries, seed, metrics);
     if (adaptive) {
       device = std::make_unique<core::AdaptiveDevice>(std::move(device),
                                                       adaptor_config);
     }
   }
-  // The session clock counts int64 nanoseconds: the largest interval is
-  // the largest whole-second count that still fits.
   const auto interval = std::chrono::seconds(
-      static_cast<std::chrono::seconds::rep>(args.get_u64_in(
-          "interval", 5, 1,
-          std::numeric_limits<std::int64_t>::max() / 1'000'000'000)));
+      static_cast<std::chrono::seconds::rep>(*flags.interval));
   const packet::FlowKeyKind key_kind = definition.kind();
 
   // --resume: when the checkpoint file exists, restore the session
@@ -814,7 +634,7 @@ int cmd_measure(const Args& args) {
   std::uint64_t skip_records = 0;
   bool resumed = false;
   std::optional<core::MeasurementSession> session_storage;
-  if (resume_requested && std::filesystem::exists(checkpoint_path)) {
+  if (flags.resume.given && std::filesystem::exists(checkpoint_path)) {
     try {
       const core::SessionCheckpoint loaded =
           core::load_checkpoint_file(checkpoint_path);
@@ -838,54 +658,35 @@ int cmd_measure(const Args& args) {
   session.attach_telemetry(metrics);
   session.attach_trace(tracer.get());
 
-  std::ifstream stream(in, std::ios::binary);
+  std::ifstream stream(*flags.in, std::ios::binary);
   if (!stream) {
-    std::fprintf(stderr, "cannot open %s\n", in.c_str());
+    std::fprintf(stderr, "cannot open %s\n", flags.in->c_str());
     return 1;
   }
-
   std::ofstream export_stream;
-  const std::string export_path = args.get("export", "");
-  if (!export_path.empty()) {
-    export_stream.open(export_path, std::ios::binary);
-    if (!export_stream) {
-      std::fprintf(stderr, "cannot open %s for export\n",
-                   export_path.c_str());
-      return 1;
-    }
-  }
+  if (!open_export(*pipeline.export_path, export_stream)) return 1;
 
   // --connect HOST:PORT: ship every interval report to a collector
   // daemon through the resilient channel over a real TCP transport. The
   // channel keeps its retry/backoff/shed policy; the transport owns the
   // socket and reconnects (with a bumped epoch) after any disconnect.
   std::uint64_t net_reports_abandoned = 0;
-  if (!connect.empty()) {
-    const auto colon = connect.rfind(':');
-    const auto port =
-        colon == std::string::npos
-            ? std::nullopt
-            : parse_decimal(std::string_view(connect).substr(colon + 1));
-    if (!port || *port > UINT16_MAX) {
-      std::fprintf(stderr, "measure: --connect expects HOST:PORT\n");
-      return 2;
-    }
+  if (flags.connect.given) {
+    const cli::Endpoint endpoint = *cli::parse_endpoint(*flags.connect);
     net::TcpTransportConfig transport_config;
-    transport_config.host = connect.substr(0, colon);
-    transport_config.port = static_cast<std::uint16_t>(*port);
+    transport_config.host = endpoint.host;
+    transport_config.port = endpoint.port;
     transport_config.device_id = device_id;
     transport_config.faults = faults.get();
     transport_config.metrics = metrics;
     transport_config.trace = tracer.get();
     transport = std::make_unique<net::TcpTransport>(transport_config);
-    if (!spool_dir.empty()) {
+    if (flags.spool_dir.given) {
       reporting::SpoolWalConfig spool_config;
-      spool_config.directory = spool_dir;
-      spool_config.max_total_bytes =
-          args.get_u64("spool-max-bytes", 1ULL << 26);
-      spool_config.fsync = args.get_u64("spool-fsync", 1) != 0;
-      spool_config.fsync_batch =
-          args.get_in<std::uint32_t>("spool-fsync-batch", 1);
+      spool_config.directory = *flags.spool_dir;
+      spool_config.max_total_bytes = *flags.spool_max_bytes;
+      spool_config.fsync = *flags.spool_fsync;
+      spool_config.fsync_batch = *flags.spool_fsync_batch;
       spool_config.faults = faults.get();
       spool_config.metrics = metrics;
       spool_config.trace = tracer.get();
@@ -903,23 +704,21 @@ int cmd_measure(const Args& args) {
             "from %s\n",
             static_cast<unsigned long long>(recovered.recovered),
             static_cast<unsigned long long>(recovered.torn_records),
-            spool_dir.c_str());
+            flags.spool_dir->c_str());
       }
     }
     reporting::ResilientChannelConfig channel_config;
-    channel_config.bytes_per_interval =
-        args.get_u64("net-budget", 1ULL << 22);
-    channel_config.max_attempts =
-        args.get_in<std::uint32_t>("net-attempts", 4, 1);
+    channel_config.bytes_per_interval = *flags.net_budget;
+    channel_config.max_attempts = *flags.net_attempts;
     channel_config.backoff_base =
-        std::chrono::microseconds(args.get_u64("net-backoff-us", 1000));
+        std::chrono::microseconds(*flags.net_backoff_us);
     channel_config.sleep_on_backoff = true;
     channel_config.transport = transport.get();
     channel_config.spool = spool.get();
     // Decorrelated jitter by default: a fleet reconnecting after a
     // collector restart must not thunder in lockstep. Seeded per device
     // so every schedule is still exactly reproducible.
-    channel_config.jitter = args.get_u64("net-jitter", 1) != 0;
+    channel_config.jitter = *flags.net_jitter;
     channel_config.jitter_seed =
         seed ^ (0x9E3779B97F4A7C15ULL * (device_id + 1));
     channel_config.faults = faults.get();
@@ -946,7 +745,7 @@ int cmd_measure(const Args& args) {
                    : threshold;
       std::printf("interval %u: %zu flows tracked\n", report.interval,
                   report.flows.size());
-      if (shard_usage_dump) {
+      if (*flags.shard_usage) {
         for (std::size_t s = 0; s < report.shards.size(); ++s) {
           const core::ShardStatus& status = report.shards[s];
           std::printf(
@@ -1019,8 +818,7 @@ int cmd_measure(const Args& args) {
   // drained, so a resume replays from the exact interval boundary.
   // --pace-ms then throttles the replay to a live-capture cadence —
   // after the checkpoint, so a kill during the sleep loses nothing.
-  const auto pace =
-      std::chrono::milliseconds(args.get_u64("pace-ms", 0));
+  const auto pace = std::chrono::milliseconds(*flags.pace_ms);
   auto process = [&](std::vector<core::Report> reports) {
     const bool closed = !reports.empty();
     handle_reports(std::move(reports));
@@ -1136,7 +934,7 @@ int cmd_measure(const Args& args) {
                     metrics_exporter->lines_written()),
                 registry.size(), metrics_path.c_str());
   }
-  if (hugepages_on) {
+  if (flags.hugepages.given) {
     const common::HugePageStats hp = common::hugepage_stats();
     std::printf(
         "hugepages: %llu slabs (%s) — %llu hugetlb, %llu madvised, "
@@ -1209,18 +1007,19 @@ int cmd_measure(const Args& args) {
   }
   // The trace is written even on a transport failure — that run is
   // exactly the one worth loading into a viewer.
-  if (tracer && !write_trace_file(trace_path, *tracer, device_id)) {
-    if (exit_code == 0) exit_code = 1;
+  if (!write_trace_file(*pipeline.trace, tracer.get(), device_id) &&
+      exit_code == 0) {
+    exit_code = 1;
   }
   return exit_code;
 }
 
-int cmd_collect(const Args& args) {
+int cmd_collect(const cli::CollectFlags& flags) {
+  const cli::PipelineFlags& pipeline = flags.pipeline;
   net::CollectorConfig config;
-  config.port = args.get_in<std::uint16_t>("listen", 0);
-  config.expected_devices = args.get_in<std::uint32_t>("devices", 1);
-  config.timeout =
-      std::chrono::milliseconds(args.get_u64("timeout-ms", 0));
+  config.port = *flags.listen;
+  config.expected_devices = *flags.devices;
+  config.timeout = std::chrono::milliseconds(*flags.timeout_ms);
   if (config.expected_devices == 0 && config.timeout.count() == 0) {
     std::fprintf(stderr,
                  "collect: --devices 0 needs --timeout-ms (nothing "
@@ -1230,44 +1029,22 @@ int cmd_collect(const Args& args) {
   // --journal: crash-durable merge state. Existing records replay
   // through the normal ingestion path (dedup included) inside the
   // Collector constructor, before the listener accepts anything.
-  config.journal_path = args.get("journal", "");
-  config.journal_fsync = args.get_u64("journal-fsync", 1) != 0;
-  config.journal_fsync_batch =
-      args.get_in<std::uint32_t>("journal-fsync-batch", 1);
-  std::unique_ptr<robustness::FaultInjector> faults;
-  if (args.has("fault-plan")) {
-    try {
-      faults = std::make_unique<robustness::FaultInjector>(
-          robustness::parse_fault_plan(args.get("fault-plan", ""),
-                                       args.get_u64("fault-seed", 1)));
-    } catch (const std::invalid_argument& error) {
-      std::fprintf(stderr, "collect: bad --fault-plan: %s\n",
-                   error.what());
-      return 2;
-    }
-  }
+  config.journal_path = *flags.journal;
+  config.journal_fsync = *flags.journal_fsync;
+  config.journal_fsync_batch = *flags.journal_fsync_batch;
+  const std::unique_ptr<robustness::FaultInjector> faults =
+      make_fault_injector(pipeline);
   config.faults = faults.get();
 
-  const bool metrics_on = args.has("metrics");
-  const bool http_on = args.has("http-port");
-  const std::string metrics_arg = args.get("metrics", "");
-  const std::string metrics_path =
-      metrics_arg.empty() ? "collect_metrics.jsonl" : metrics_arg;
+  const std::string& metrics_path = *pipeline.metrics;
   telemetry::MetricsRegistry registry;
   // Either flag turns fleet aggregation on: every member's v3 metrics
   // trailer lands in this registry under a device="<id>" label plus
   // device="fleet" rollups.
-  config.metrics = metrics_on || http_on ? &registry : nullptr;
-
-  const std::string trace_path = args.get("trace", "");
-  if (args.has("trace") && trace_path.empty()) {
-    std::fprintf(stderr, "collect: --trace needs a file path\n");
-    return 2;
-  }
-  std::unique_ptr<telemetry::TraceRecorder> tracer;
-  if (!trace_path.empty()) {
-    tracer = std::make_unique<telemetry::TraceRecorder>();
-  }
+  config.metrics =
+      pipeline.metrics.given || pipeline.http_port.given ? &registry : nullptr;
+  const std::unique_ptr<telemetry::TraceRecorder> tracer =
+      make_tracer(pipeline);
   config.trace = tracer.get();
 
   std::unique_ptr<net::Collector> collector;
@@ -1301,12 +1078,9 @@ int cmd_collect(const Args& args) {
   // --port-file: publish the bound port (essential with --listen 0) so
   // a harness can hand it to the measure processes; removed at exit so
   // a later poller never dials a dead incarnation's port.
-  const std::string port_file = args.get("port-file", "");
   PortFileGuard port_guard;
-  if (!port_file.empty()) {
-    if (!write_port_file(port_file, collector->port())) return 1;
-    port_guard.arm(port_file);
-  }
+  if (!write_port_file(*flags.port_file, collector->port())) return 1;
+  port_guard.arm(*flags.port_file);
   std::printf("collect: listening on 127.0.0.1:%u for %u devices\n",
               collector->port(), config.expected_devices);
   std::fflush(stdout);
@@ -1315,21 +1089,17 @@ int cmd_collect(const Args& args) {
   // long as the daemon runs; destroyed (joined) before the collector.
   std::unique_ptr<telemetry::HttpExporter> http;
   PortFileGuard http_port_guard;
-  if (http_on) {
+  if (pipeline.http_port.given) {
     telemetry::HttpExporterConfig http_config;
-    http_config.metrics_text = [&registry] {
-      common::sync_crc32_metrics(registry);
-      return telemetry::to_prometheus(registry.snapshot());
-    };
     http_config.status_text = [daemon = collector.get()] {
       return daemon->status_text();
     };
     http_config.healthy = [daemon = collector.get()] {
       return daemon->healthy();
     };
-    http = start_http_exporter(args, std::move(http_config), "collect");
+    http = start_http_exporter(pipeline, registry, std::move(http_config),
+                               "collect", http_port_guard);
     if (http == nullptr) return 1;
-    http_port_guard.arm(args.get("http-port-file", ""));
   }
 
   const bool complete = collector->run();
@@ -1337,15 +1107,7 @@ int cmd_collect(const Args& args) {
   std::vector<core::Report> merged = collector->merged_reports();
 
   std::ofstream export_stream;
-  const std::string export_path = args.get("export", "");
-  if (!export_path.empty()) {
-    export_stream.open(export_path, std::ios::binary);
-    if (!export_stream) {
-      std::fprintf(stderr, "cannot open %s for export\n",
-                   export_path.c_str());
-      return 1;
-    }
-  }
+  if (!open_export(*pipeline.export_path, export_stream)) return 1;
   for (core::Report& report : merged) {
     // Same largest-first order a measure export writes, so a merged
     // export is byte-comparable against a single-process --shards run.
@@ -1382,7 +1144,7 @@ int cmd_collect(const Args& args) {
         static_cast<unsigned long long>(stats.journal_write_errors),
         config.journal_path.c_str());
   }
-  if (metrics_on) {
+  if (pipeline.metrics.given) {
     std::ofstream metrics_stream(metrics_path);
     if (!metrics_stream) {
       std::fprintf(stderr, "cannot open %s for metrics\n",
@@ -1403,18 +1165,18 @@ int cmd_collect(const Args& args) {
                  "collect: gave up before all devices completed\n");
     exit_code = 5;
   }
-  if (tracer &&
-      !write_trace_file(trace_path, *tracer, kCollectorTracePid)) {
-    if (exit_code == 0) exit_code = 1;
+  if (!write_trace_file(*pipeline.trace, tracer.get(), kCollectorTracePid) &&
+      exit_code == 0) {
+    exit_code = 1;
   }
   return exit_code;
 }
 
-int cmd_bounds(const Args& args) {
+int cmd_bounds(const cli::BoundsFlags& flags) {
   analysis::SampleHoldParams sh;
-  sh.oversampling = args.get_double("oversampling", 20.0);
-  sh.threshold = args.get_u64("threshold", 1'000'000);
-  sh.capacity = args.get_u64("capacity", 100'000'000);
+  sh.oversampling = *flags.oversampling;
+  sh.threshold = *flags.threshold;
+  sh.capacity = *flags.capacity;
 
   std::printf("sample and hold (O=%.1f, T=%s, C=%s):\n", sh.oversampling,
               common::format_bytes(sh.threshold).c_str(),
@@ -1433,9 +1195,9 @@ int cmd_bounds(const Args& args) {
               analysis::entries_bound(sh, 0.001));
 
   analysis::MultistageParams msf;
-  msf.buckets = args.get_in<std::uint32_t>("buckets", 1000);
-  msf.depth = args.get_in<std::uint32_t>("depth", 4);
-  msf.flows = args.get_double("flows", 100'000);
+  msf.buckets = *flags.buckets;
+  msf.depth = *flags.depth;
+  msf.flows = *flags.flows;
   msf.capacity = sh.capacity;
   msf.threshold = sh.threshold;
   std::printf(
@@ -1452,12 +1214,12 @@ int cmd_bounds(const Args& args) {
   return 0;
 }
 
-int cmd_dimension(const Args& args) {
+int cmd_dimension(const cli::DimensionFlags& flags) {
   analysis::DimensioningInput input;
-  input.total_entries = args.get_u64("entries", 4096);
-  input.expected_flows = args.get_double("flows", 100'000);
-  input.traffic_per_interval = args.get_u64("traffic", 256'000'000);
-  input.oversampling = args.get_double("oversampling", 4.0);
+  input.total_entries = *flags.entries;
+  input.expected_flows = *flags.flows;
+  input.traffic_per_interval = *flags.traffic;
+  input.oversampling = *flags.oversampling;
 
   const auto sh = analysis::dimension_sample_and_hold(input);
   const auto msf = analysis::dimension_multistage(input);
@@ -1483,6 +1245,19 @@ int cmd_dimension(const Args& args) {
   return 0;
 }
 
+/// Checks the words after the subcommand against its flag table, then
+/// runs it; a rejected command line exits 2 naming the flag.
+template <typename Flags>
+int run(std::string_view command, std::span<const std::string_view> args,
+        int (*body)(const Flags&)) {
+  Flags flags;
+  if (const auto error = cli::parse(command, flags, args)) {
+    std::fprintf(stderr, "%s\n", error->message.c_str());
+    return 2;
+  }
+  return body(flags);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -1493,47 +1268,13 @@ int main(int argc, char** argv) {
                  "see the header of tools/ndtm.cpp for details\n");
     return 2;
   }
-  // Every subcommand with the flags it reads.
-  struct Command {
-    std::string_view name;
-    int (*run)(const Args&);
-    std::vector<std::string_view> flags;
-  };
-  const Command commands[] = {
-      {"synthesize",
-       cmd_synthesize,
-       {"arrivals", "intervals", "out", "preset", "scale", "seed",
-        "snaplen"}},
-      {"measure",
-       cmd_measure,
-       {"adaptive", "algorithm", "checkpoint", "connect", "device-id",
-        "entries", "export", "fault-plan", "fault-seed", "fleet-size",
-        "flow-def", "http-port", "http-port-file", "hugepages", "in",
-        "interval", "metrics", "net-attempts", "net-backoff-us", "net-budget",
-        "net-jitter", "pace-ms", "resume", "seed", "shard-usage", "shards",
-        "spool-dir", "spool-fsync", "spool-fsync-batch", "spool-max-bytes",
-        "threshold", "trace", "trace-sample", "watchdog-ms"}},
-      {"collect",
-       cmd_collect,
-       {"devices", "export", "fault-plan", "fault-seed", "http-port",
-        "http-port-file", "journal", "journal-fsync",
-        "journal-fsync-batch", "listen", "metrics", "port-file",
-        "timeout-ms", "trace"}},
-      {"bounds",
-       cmd_bounds,
-       {"buckets", "capacity", "depth", "flows", "oversampling",
-        "threshold"}},
-      {"dimension",
-       cmd_dimension,
-       {"entries", "flows", "oversampling", "traffic"}},
-  };
-  const Args args(argc, argv, 2);
-  const std::string command = argv[1];
-  for (const Command& entry : commands) {
-    if (entry.name != command) continue;
-    args.require_known(command, entry.flags);
-    return entry.run(args);
-  }
-  std::fprintf(stderr, "unknown command: %s\n", command.c_str());
+  const std::string_view command = argv[1];
+  const std::vector<std::string_view> args(argv + 2, argv + argc);
+  if (command == "synthesize") return run(command, args, cmd_synthesize);
+  if (command == "measure") return run(command, args, cmd_measure);
+  if (command == "collect") return run(command, args, cmd_collect);
+  if (command == "bounds") return run(command, args, cmd_bounds);
+  if (command == "dimension") return run(command, args, cmd_dimension);
+  std::fprintf(stderr, "unknown command: %s\n", argv[1]);
   return 2;
 }

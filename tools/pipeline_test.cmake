@@ -140,6 +140,34 @@ expect_bad_flag(--devices collect --listen 0 --devices 4294967297
 # for --shards used to run unsharded, and --pin is gone.
 expect_bad_flag(--shard measure --in ${WORKDIR}/smoke.pcap --shard 3)
 expect_bad_flag(--pin measure --in ${WORKDIR}/smoke.pcap --pin 1)
+# --entries sizes the flow memory: 0 ran with no flow memory at all (no
+# heavy hitter ever reported), and 9223372036854775808 wrapped
+# multistage's uint32 stage width to 0 and segfaulted.
+expect_bad_flag(--entries measure --in ${WORKDIR}/smoke.pcap --entries 0)
+expect_bad_flag(--entries measure --in ${WORKDIR}/smoke.pcap
+                --algorithm multistage --entries 9223372036854775808)
+# One case per kind of flag the tables check, each of which used to run:
+# degenerate analytic inputs (bounds --depth 0 printed E[flows passing]
+# = 2n, dimension --entries 0 a 2-entry flow memory), an unknown choice
+# (a uniform trace), a 0|1 switch given 2 and an optional value outside
+# its choices (both read as on), a repeated flag (the last one won), a
+# dependent flag without its parent and a value on a bare flag (both
+# ignored), and an empty path.
+expect_bad_flag(--depth bounds --depth 0)
+expect_bad_flag(--entries dimension --entries 0)
+expect_bad_flag(--oversampling bounds --oversampling 0)
+expect_bad_flag(--arrivals synthesize --arrivals bogus
+                --out ${WORKDIR}/never.pcap)
+expect_bad_flag(--adaptive measure --in ${WORKDIR}/smoke.pcap --adaptive 2)
+expect_bad_flag(--hugepages measure --in ${WORKDIR}/smoke.pcap
+                --hugepages=bogus)
+expect_bad_flag(--shards measure --in ${WORKDIR}/smoke.pcap
+                --shards 2 --shards 3)
+expect_bad_flag(--fault-seed measure --in ${WORKDIR}/smoke.pcap
+                --fault-seed 3)
+expect_bad_flag(--resume measure --in ${WORKDIR}/smoke.pcap
+                --checkpoint ${WORKDIR}/never.ndck --resume=1)
+expect_bad_flag(--out synthesize --out)
 execute_process(
   COMMAND ${NDTM} measure --in ${WORKDIR}/smoke.pcap --flow-def netpair:16
           --threshold 100000

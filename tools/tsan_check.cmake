@@ -31,9 +31,10 @@ endif()
 # with the vectorized kernels, the observability plane (HTTP exporter
 # poll loop, lock-free trace ring, registry seqlock), and the
 # durability layer (spool WAL, crash-recovery journal, on-disk fuzz
-# tables, and the kill-level soak over the instrumented ndtm binary).
+# tables, and the kill-level soak over the instrumented ndtm binary),
+# and the ndtm flag-table walk.
 set(ND_SANITIZE_TEST_REGEX
-    "ThreadPool|Sharded|BatchEquivalence|MetricsRegistry|Instruments|FaultInjector|ResilientChannel|ShardWatchdog|ShardFailures|Chaos|Checkpoint|TagProbe|TagLayout|FlowMemory|Simd|Hugepage|Slab|CpuFeatures|Crc32|FrameStream|TcpTransport|Collector|LoopbackFleet|HttpExporter|TraceRecorder|ChromeTrace|FleetAggregator|RegistryGeneration|SpoolWal|Journal|DurabilityFuzz|DurabilitySoak")
+    "FlagTable|ThreadPool|Sharded|BatchEquivalence|MetricsRegistry|Instruments|FaultInjector|ResilientChannel|ShardWatchdog|ShardFailures|Chaos|Checkpoint|TagProbe|TagLayout|FlowMemory|Simd|Hugepage|Slab|CpuFeatures|Crc32|FrameStream|TcpTransport|Collector|LoopbackFleet|HttpExporter|TraceRecorder|ChromeTrace|FleetAggregator|RegistryGeneration|SpoolWal|Journal|DurabilityFuzz|DurabilitySoak")
 
 # Sanitized binaries run ~10x slower: cap the soak's kill cycles so the
 # instrumented pass stays CI-sized (still two real kill/restart cycles).
@@ -63,6 +64,7 @@ function(run_sanitized sanitizer subdir regex)
             --target common_tests core_tests eval_tests telemetry_tests
             robustness_tests flowmem_tests hash_tests simd_tests
             net_tests observability_tests durability_tests soak_tests
+            cli_tests
     RESULT_VARIABLE rv)
   if(NOT rv EQUAL 0)
     message(FATAL_ERROR "tsan_check[${sanitizer}]: build failed: ${rv}")
@@ -106,9 +108,11 @@ run_sanitized(thread . "${ND_SANITIZE_TEST_REGEX}")
 # ubsan (misaligned/overflowing SWAR arithmetic), plus the durability
 # formats — wal scan/resync and journal replay are byte-level parsers
 # over attacker-shaped input, and the soak exercises the whole
-# fork/exec + kill + recover loop under the instrumented runtime.
+# fork/exec + kill + recover loop under the instrumented runtime. The
+# flag-table walk feeds every ndtm flag malformed values, so the CLI
+# surface's parser runs here too.
 set(ND_FLOWMEM_TEST_REGEX
-    "TagProbe|TagLayout|FlowMemory|Simd|Hugepage|Slab|CpuFeatures|Crc32|SpoolWal|Journal|DurabilityFuzz|DurabilitySoak")
+    "FlagTable|TagProbe|TagLayout|FlowMemory|Simd|Hugepage|Slab|CpuFeatures|Crc32|SpoolWal|Journal|DurabilityFuzz|DurabilitySoak")
 run_sanitized(address asan-check "${ND_FLOWMEM_TEST_REGEX}")
 run_sanitized(undefined ubsan-check "${ND_FLOWMEM_TEST_REGEX}")
 
